@@ -3,8 +3,9 @@
 Every verification is a subcommand; output is plain text by default or JSON
 with --json.  Exit codes: 0 all checked assertions hold, 1 a verification
 failed, 2 usage or parse error.  All numbers print as exact integers or
-fractions p/q.  The reduction step ceiling honours the environment variable
-BANACHALG_MAX_REDUCTION_STEPS.
+fractions p/q.  The step ceiling of the rewriting engine (the step count
+of ``nf`` and ``groebner-verify``) honours the environment variable
+BANACHALG_MAX_REDUCTION_STEPS; hitting it exits 2.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from fractions import Fraction
 from . import __version__
 from .disc import example1_residual, example2_residual, remark_growth
 from .ideal import (
+    ReductionLimitError,
     generator,
     groebner_certificate,
     normal_form,
     parse_generator_id,
     s_polynomial,
 )
-from .poly import ParseError, l1_norm, parse, to_str
+from .poly import l1_norm, parse, to_str
 from .quotient import divide_by_x, project
 from .series import divergence_certificate, expected_coefficient, residual, solve_equation
 
@@ -265,10 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, ReductionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -13,7 +13,8 @@ root of 1 + t:
         y2 = x^c,  y1 = x^c + sum_{n=1..c} a_n x^(c-n) t^n,
     with residual t-order exactly c + 1;
   * family 2 replaces the explicit t by a third unknown held at y3 = t and
-    evaluates x*y1^2 - (x + y3)*y2^2, with guaranteed order at least c.
+    evaluates x*y1^2 - (x + y3)*y2^2, with guaranteed order at least c;
+    since y3 is exactly t, both families share one residual computation.
 
 The truncations approximate to arbitrarily high t-order, yet the only exact
 solution with coefficients in the disc algebra is zero; the residual orders
@@ -231,54 +232,42 @@ def example1_solutions(
     return BRhoSeries.from_elements(y1, rho), y2
 
 
-def _shifted_residual(
-    y1: BRhoSeries, y2: BRhoSeries, shift: BRhoSeries
-) -> BRhoSeries:
-    """x*y1^2 - (x + shift)*y2^2, exact in QQ[x][t]."""
-    rho = y1.rho
-    x = BRhoSeries.constant(BRhoElement.x_power(1, rho))
-    return x * y1 * y1 - (x + shift) * y2 * y2
+def example2_solutions(
+    c: int, rho: Rational = DEFAULT_RHO
+) -> tuple[BRhoSeries, BRhoSeries, BRhoSeries]:
+    """(y1, y2, y3): the pair of family 1 together with y3 = t."""
+    y1, y2 = example1_solutions(c, rho)
+    y3 = BRhoSeries.from_elements(
+        [BRhoElement.zero(y1.rho), BRhoElement.from_dict({0: 1}, y1.rho)], y1.rho
+    )
+    return y1, y2, y3
 
 
 def example1_residual(
     c: int, rho: Rational = DEFAULT_RHO
 ) -> tuple[Optional[int], BRhoElement]:
     """(t-order, leading coefficient) of x*y1^2 - (x+t)*y2^2 at the order-c
-    approximants; the order is at least c + 1, and None would mean an
-    identically zero residual (which does not occur)."""
-    y1, y2 = example1_solutions(c, rho)
-    rho = Fraction(rho)
-    t = BRhoSeries.from_elements(
-        [BRhoElement.zero(rho), BRhoElement.from_dict({0: 1}, rho)], rho
-    )
-    res = _shifted_residual(y1, y2, t)
+    approximants; the order is exactly c + 1 (None would mean an identically
+    zero residual, which does not occur).
+
+    The shift t is the y3 of ``example2_solutions``, so this is also the
+    residual of family 2 and ``example2_residual`` shares this code path.
+    """
+    y1, y2, t = example2_solutions(c, rho)
+    x = BRhoSeries.constant(BRhoElement.x_power(1, y1.rho))
+    res = x * y1 * y1 - (x + t) * y2 * y2
     order = res.t_order()
-    lead = BRhoElement.zero(rho) if order is None else res.coeffs[order]
+    lead = BRhoElement.zero(y1.rho) if order is None else res.coeffs[order]
     return order, lead
-
-
-def example2_solutions(
-    c: int, rho: Rational = DEFAULT_RHO
-) -> tuple[BRhoSeries, BRhoSeries, BRhoSeries]:
-    """(y1, y2, y3): the pair of family 1 together with y3 = t."""
-    y1, y2 = example1_solutions(c, rho)
-    rho = Fraction(rho)
-    y3 = BRhoSeries.from_elements(
-        [BRhoElement.zero(rho), BRhoElement.from_dict({0: 1}, rho)], rho
-    )
-    return y1, y2, y3
 
 
 def example2_residual(
     c: int, rho: Rational = DEFAULT_RHO
 ) -> tuple[Optional[int], BRhoElement]:
     """(t-order, leading coefficient) of x*y1^2 - (x+y3)*y2^2 with y3 = t;
-    guaranteed order at least c."""
-    y1, y2, y3 = example2_solutions(c, rho)
-    res = _shifted_residual(y1, y2, y3)
-    order = res.t_order()
-    lead = BRhoElement.zero(y1.rho) if order is None else res.coeffs[order]
-    return order, lead
+    guaranteed order at least c.  Since y3 is exactly the series t, this is
+    ``example1_residual`` and goes through the same code path."""
+    return example1_residual(c, rho)
 
 
 REMARK_KMAX = 6

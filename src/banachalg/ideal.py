@@ -1,4 +1,5 @@
-"""The binomial ideal, its rewriting system and the Gröbner certificate.
+"""The binomial ideal, its normal form, its rewriting system and the Gröbner
+certificate.
 
 The ideal is generated by two families of homogeneous binomials:
 
@@ -12,9 +13,28 @@ leading monomials are z^2, x*w_{k+1} and y*w_k*w_{l+1}, so a monomial is
 *standard* iff it is divisible by none of those, and every polynomial has a
 unique normal form supported on standard monomials.
 
+Because the basis is binomial, every monomial m reduces to a single term
+rho(m) * std(m) (Eisenbud & Sturmfels, "Binomial ideals", 1996), and here
+that term has a closed form:
+
+  * each pair z^2 becomes x*w0;
+  * each x lowers the w-mass (sum of w-indices) by one and becomes a y, for
+    min(#x, mass) steps;
+  * with a y present, the w-part becomes the window: the unique w-monomial
+    of the same size and mass supported on some {a, a+1};
+  * rho(m) = Wfact(std(m)) / Wfact(m), with Wfact = prod(index!^exp).
+
+Each rewrite step lead -> scalar * tail scales the coefficient by exactly
+Wfact(tail) / Wfact(lead), a factor in (0, 1], so the scalars multiply up
+to rho and 0 < rho <= 1.  ``nf`` evaluates this closed form term by term.
+
+The rewriting engine ``normal_form`` reaches the same result step by step.
 Reduction replaces a term c*m by c'*m' with m' < m, |c'| <= |c| and the same
 total degree, and never raises a w-index, so it terminates without any
-Noetherian assumption.  ``normal_form`` records a replayable trace.
+Noetherian assumption.  It records a replayable trace, serves as the oracle
+for ``nf`` in the tests, and is the reducer of ``groebner_certificate``,
+which must certify the basis by reduction rather than through the closed
+form whose correctness rests on that basis.
 
 S-polynomials use the fraction-free convention
 
@@ -32,6 +52,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterator, Optional
 
 from .poly import Monomial, Polynomial, Term, to_str
@@ -41,7 +62,11 @@ DEFAULT_STEP_CEILING = 10**6
 
 
 class ReductionLimitError(RuntimeError):
-    """The reduction step ceiling was hit; this indicates an internal bug."""
+    """The rewriting engine reached its step ceiling before a normal form.
+
+    Reduction always terminates, but a legitimate chain can be long (about
+    one step per unit of w-index); a larger ceiling lets it finish.
+    """
 
 
 @dataclass(frozen=True, order=True)
@@ -170,6 +195,36 @@ def is_standard(p: Polynomial) -> bool:
     return all(is_standard_monomial(t.monomial) for t in p.terms)
 
 
+def _window(size: int, mass: int) -> tuple[tuple[int, int], ...]:
+    """The w-part of the given size and mass supported on some {a, a+1}:
+    mass // size copies of w_a, the remainder shifted up to w_{a+1}."""
+    a, hi = divmod(mass, size)
+    return tuple((i, e) for i, e in ((a, size - hi), (a + 1, hi)) if e)
+
+
+def _wfact(w: tuple[tuple[int, int], ...]) -> int:
+    """Wfact of a w-part: the product of index!^exp."""
+    out = 1
+    for i, e in w:
+        out *= factorial(i) ** e
+    return out
+
+
+def _standard_form(m: Monomial) -> tuple[Fraction, Monomial]:
+    """(rho, std) with m congruent to rho * std and std standard; see the
+    module docstring for the closed form."""
+    pairs, z = divmod(m.z_exp, 2)
+    w = dict(m.w)
+    if pairs:
+        w[0] = w.get(0, 0) + pairs
+    size = m.w_size() + pairs
+    mass = m.w_mass()
+    steps = min(m.x_exp + pairs, mass)
+    x, y = m.x_exp + pairs - steps, m.y_exp + steps
+    std_w = _window(size, mass - steps) if y and size else tuple(sorted(w.items()))
+    return Fraction(_wfact(std_w), _wfact(m.w)), Monomial(z, x, y, std_w)
+
+
 @lru_cache(maxsize=65536)
 def divisor_generators(m: Monomial) -> tuple[GeneratorId, ...]:
     """Generators whose leading monomial divides m, largest leading monomial
@@ -222,7 +277,11 @@ def _step_ceiling(limit: Optional[int]) -> int:
     if limit is not None:
         return limit
     raw = os.environ.get(STEP_CEILING_ENV)
-    return int(raw) if raw else DEFAULT_STEP_CEILING
+    if not raw:
+        return DEFAULT_STEP_CEILING
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{STEP_CEILING_ENV} must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def normal_form(
@@ -270,8 +329,8 @@ def normal_form(
             return result, ReductionTrace(tuple(steps), result)
         if len(steps) >= ceiling:
             raise ReductionLimitError(
-                f"no normal form after {ceiling} steps; raise "
-                f"{STEP_CEILING_ENV} or report a bug"
+                f"no normal form after {ceiling} reduction steps; raise "
+                f"{STEP_CEILING_ENV} to allow longer reduction chains"
             )
         m, gid = choice
         lm, lc, tail_m, tail_c = _rewrite_rule(gid)
@@ -287,8 +346,12 @@ def normal_form(
 
 
 def nf(p: Polynomial) -> Polynomial:
-    """Normal form without the trace."""
-    return normal_form(p)[0]
+    """The normal form of p by the closed form; equals ``normal_form(p)[0]``."""
+    out = []
+    for t in p.terms:
+        rho, std = _standard_form(t.monomial)
+        out.append((t.coefficient * rho, std))
+    return Polynomial.from_terms(out)
 
 
 def reduce_by_single(p: Polynomial, gid: GeneratorId) -> tuple[Polynomial, Polynomial]:
@@ -472,7 +535,7 @@ def groebner_certificate(max_index: int) -> CertificateReport:
 
     for p_id, q_id in _noncoprime_pairs(max_index):
         s = s_polynomial(generator(p_id), generator(q_id))
-        result = nf(s)
+        result = normal_form(s)[0]
         checks.append(
             IdentityCheck(
                 "nf(S(p,q)) = 0",

@@ -95,15 +95,6 @@ class Monomial:
     def degree(self) -> int:
         return self.key[0]
 
-    def exponent(self, v: Variable) -> int:
-        if v.kind == "z":
-            return self.z_exp
-        if v.kind == "x":
-            return self.x_exp
-        if v.kind == "y":
-            return self.y_exp
-        return dict(self.w).get(v.index, 0)
-
     def w_indices(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.w)
 
@@ -114,17 +105,6 @@ class Monomial:
     def w_mass(self) -> int:
         """Sum of w-indices counted with multiplicity."""
         return sum(i * e for i, e in self.w)
-
-    def variables(self) -> tuple[Variable, ...]:
-        out = []
-        if self.z_exp:
-            out.append(Z)
-        if self.x_exp:
-            out.append(X)
-        if self.y_exp:
-            out.append(Y)
-        out.extend(W(i) for i, _ in self.w)
-        return tuple(out)
 
     def __mul__(self, other: Monomial) -> Monomial:
         d = dict(self.w)
@@ -312,18 +292,6 @@ class Polynomial:
 
     def __str__(self) -> str:
         return to_str(self)
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def scale(p: Polynomial, c: Rational) -> Polynomial:
-    return p * Fraction(c)
 
 
 def l1_norm(p: Polynomial) -> Fraction:

@@ -2,24 +2,18 @@
 closure of the binomial ideal, represented by their normal forms.
 
 The l1 norm of the normal form is an upper bound for the quotient norm (each
-reduction step multiplies a coefficient by a factor in (0, 1]).  For an
+monomial m maps to rho(m) * std(m) with 0 < rho <= 1, see ``ideal``).  For an
 element c*w_k the bound is exact: no combination of the generators can
 produce a bare w_k monomial, so every representative carries the coefficient
 c and the quotient norm is |c|.
 
-``divide_by_x`` inverts multiplication by x on normal forms.  Multiplication
-by x sends a standard monomial either to another standard monomial that
-still contains x, or (when the monomial is x-free and touches some w_i with
-i >= 1) through one x*w_j rewrite and a chain of G rewrites to
+``divide_by_x`` inverts multiplication by x on normal forms.  A standard
+monomial times x is either a standard monomial that still contains x or,
+when it is x-free and touches some w_i with i >= 1, has the normal form
 
-    r * z^eps * y^(b+1) * (w-part of the same size s, mass one lower)
+    r * z^eps * y^(b+1) * window(size s, mass one lower)
 
-where the w-part of any standard monomial with y present is supported on a
-window {a, a+1}, hence determined by its size and mass, and the scalar is
-
-    r = Wfact(target w-part) / Wfact(source w-part),   Wfact = prod(index!^exp),
-
-because every rewrite step multiplies Wfact by exactly its step factor.
+by the closed form in ``ideal``, with r the ratio of the Wfact values.
 Inverting is therefore term-by-term arithmetic on (size, mass) data.
 
 Caveat, checked by the test suite: multiplication by x is *not* injective on
@@ -36,10 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Optional
 
-from .ideal import is_standard, nf
+from .ideal import _wfact, _window, is_standard, nf
 from .poly import Monomial, Polynomial, l1_norm, to_str
 
 
@@ -110,24 +103,6 @@ def r_mul(a: RElement, b: RElement) -> RElement:
     return project(a.poly * b.poly)
 
 
-def _window(size: int, mass: int) -> Monomial:
-    """The unique w-monomial of the given size whose support lies in some
-    {a, a+1}: a = mass // size copies shifted so the total index sum is mass.
-    """
-    a, hi = divmod(mass, size)
-    w = {a: size - hi}
-    if hi:
-        w[a + 1] = hi
-    return Monomial.build(w=w)
-
-
-def _wfact(m: Monomial) -> int:
-    out = 1
-    for i, e in m.w:
-        out *= factorial(i) ** e
-    return out
-
-
 def divide_by_x(g: RElement) -> Optional[RElement]:
     """Return h with project(x) * h == g, or None when no such h exists.
 
@@ -151,8 +126,8 @@ def divide_by_x(g: RElement) -> Optional[RElement]:
         if m.y_exp >= 1 and size >= 1:
             mass = m.w_mass()
             source = _window(size, mass + 1)
-            scalar = Fraction(_wfact(m), _wfact(source))
-            pulled = Monomial.build(z=m.z_exp, y=m.y_exp - 1) * source
+            scalar = Fraction(_wfact(m.w), _wfact(source))
+            pulled = Monomial(m.z_exp, 0, m.y_exp - 1, source)
             parts.append((t.coefficient / scalar, pulled))
             continue
         return None

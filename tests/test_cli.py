@@ -76,6 +76,16 @@ def test_parse_error_exit_code(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("raw", ["0", "abc", "-3"])
+def test_step_ceiling_errors_exit_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("BANACHALG_MAX_REDUCTION_STEPS", raw)
+    code, out, err = run(capsys, "nf", "z^2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "BANACHALG_MAX_REDUCTION_STEPS" in err
+
+
 # --- groebner-verify ---------------------------------------------------------
 
 

@@ -23,8 +23,14 @@ from banachalg.ideal import (
     s_polynomial,
 )
 from banachalg.poly import Monomial, Polynomial, l1_norm, parse
+from banachalg.quotient import project
 
-from conftest import nonzero_random_polynomial, random_polynomial
+from conftest import (
+    nonzero_random_polynomial,
+    random_coefficient,
+    random_monomial,
+    random_polynomial,
+)
 
 
 def m(text):
@@ -264,7 +270,60 @@ def test_step_ceiling_env_override(monkeypatch):
     with pytest.raises(ReductionLimitError):
         normal_form(parse("z^2"))
     monkeypatch.setenv(STEP_CEILING_ENV, "10")
-    assert nf(parse("z^2")) == parse("x*w0")
+    assert normal_form(parse("z^2"))[0] == parse("x*w0")
+
+
+# --- closed form against the rewriting engine ---------------------------------
+
+
+def _oracle_corpus(rng):
+    """Seeded monomials covering every branch of the closed form."""
+    corpus = [random_monomial(rng, max_degree=9, max_windex=15) for _ in range(300)]
+    for _ in range(60):
+        # odd and even z-powers, x-heavy, mixed y and w
+        corpus.append(
+            Monomial.build(
+                z=rng.randint(0, 5),
+                x=rng.randint(0, 6),
+                y=rng.randint(0, 2),
+                w={rng.randint(0, 8): rng.randint(1, 3), rng.randint(0, 8): 1},
+            )
+        )
+    for _ in range(20):
+        # high-index y*w_a*w_b: long G chains
+        a = rng.randint(0, 20)
+        corpus.append(Monomial.build(y=1, w={a: 1, rng.randint(a, 200): 1}))
+    return corpus
+
+
+def test_nf_matches_rewriting_engine():
+    rng = random.Random(41)
+    corpus = _oracle_corpus(rng)
+    for i in range(0, len(corpus), 4):
+        p = Polynomial.from_terms(
+            (random_coefficient(rng), mono) for mono in corpus[i : i + 4]
+        )
+        expected = nf(p)
+        assert normal_form(p)[0] == expected
+        randomized, _ = normal_form(p, strategy="random", rng=random.Random(i))
+        assert randomized == expected
+
+
+def test_nf_and_project_do_not_use_the_rewriting_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("normal_form called")
+
+    monkeypatch.setattr("banachalg.ideal.normal_form", refuse)
+    assert nf(parse("z^2*w1 + x*w0*w3")) == parse("y*w0^2 + (1/6)*y*w1^2")
+    assert str(project(parse("y*w0*w2"))) == "(1/2)*y*w1^2"
+
+
+def test_certificate_does_not_use_the_closed_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nf called")
+
+    monkeypatch.setattr("banachalg.ideal.nf", refuse)
+    assert groebner_certificate(4).all_passed
 
 
 # --- finite orbits ----------------------------------------------------------
