@@ -237,8 +237,9 @@ def example2_solutions(
 ) -> tuple[BRhoSeries, BRhoSeries, BRhoSeries]:
     """(y1, y2, y3): the pair of family 1 together with y3 = t."""
     y1, y2 = example1_solutions(c, rho)
+    rho = Fraction(rho)
     y3 = BRhoSeries.from_elements(
-        [BRhoElement.zero(y1.rho), BRhoElement.from_dict({0: 1}, y1.rho)], y1.rho
+        [BRhoElement.zero(rho), BRhoElement.from_dict({0: 1}, rho)], rho
     )
     return y1, y2, y3
 
