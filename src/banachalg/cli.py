@@ -2,16 +2,18 @@
 
 Every verification is a subcommand; output is plain text by default or JSON
 with --json.  Exit codes: 0 all checked assertions hold, 1 a verification
-failed, 2 usage or parse error.  All numbers print as exact integers or
-fractions p/q.  The step ceiling of the rewriting engine (the step count
-of ``nf`` and ``groebner-verify``) honours the environment variable
-BANACHALG_MAX_REDUCTION_STEPS; hitting it exits 2.
+failed, 2 usage or parse error, 141 (128 + SIGPIPE) the reader closed stdout
+before the output was written, with nothing on stderr.  All numbers print
+as exact integers or fractions p/q.  The step ceiling of the rewriting
+engine (the step count of ``nf`` and ``groebner-verify``) honours the
+environment variable BANACHALG_MAX_REDUCTION_STEPS; hitting it exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -29,7 +31,7 @@ from .poly import l1_norm, parse, to_str
 from .quotient import divide_by_x, project
 from .series import divergence_certificate, expected_coefficient, residual, solve_equation
 
-USAGE_ERROR, VERIFY_ERROR = 2, 1
+USAGE_ERROR, VERIFY_ERROR, BROKEN_PIPE = 2, 1, 141
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -166,9 +168,7 @@ def cmd_solve_series(args) -> int:
     )
     cert = divergence_certificate(f, args.bound)
     ok = matches and res.is_zero()
-    lines = [
-        f"f_{k} = {c}  (norm {c.norm_upper_bound})" for k, c in enumerate(f.coeffs)
-    ]
+    lines = [f"f_{k} = {c}  (norm {c.norm})" for k, c in enumerate(f.coeffs)]
     lines.append(f"residual identically zero through t^{args.order}: {res.is_zero()}")
     lines.append(f"coefficients equal k!*wk for all k: {matches}")
     if cert.reached_at is None:
@@ -266,10 +266,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return HANDLERS[args.command](args)
+        code = HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
     except (ValueError, argparse.ArgumentTypeError, ReductionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout early; point fd 1 at devnull so that the
+        # interpreter's exit flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

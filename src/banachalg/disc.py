@@ -93,12 +93,6 @@ class BRhoElement:
                 d[e] = d.get(e, Fraction(0)) + c1 * c2
         return BRhoElement.from_dict(d, self.rho)
 
-    def scale(self, c: Rational) -> BRhoElement:
-        c = Fraction(c)
-        if c == 0:
-            return BRhoElement.zero(self.rho)
-        return BRhoElement(tuple((e, cc * c) for e, cc in self.coeffs), self.rho)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

@@ -162,6 +162,23 @@ def _rewrite_rule(gid: GeneratorId) -> tuple[Monomial, Fraction, Monomial, Fract
     return lt.monomial, lt.coefficient, tail.monomial, tail.coefficient
 
 
+def _rewrite_step(
+    work: dict[Monomial, Fraction], m: Monomial, gid: GeneratorId
+) -> tuple[Monomial, Fraction]:
+    """Cancel the term of m in ``work`` (in place) by subtracting
+    scalar * multiplier * generator(gid); returns (multiplier, scalar)."""
+    lm, lc, tail_m, tail_c = _rewrite_rule(gid)
+    multiplier = m / lm
+    scalar = work.pop(m) / lc
+    target = multiplier * tail_m
+    c = work.get(target, _ZERO) - scalar * tail_c
+    if c:
+        work[target] = c
+    else:
+        work.pop(target, None)
+    return multiplier, scalar
+
+
 def s_polynomial(p: Polynomial, q: Polynomial) -> Polynomial:
     """Fraction-free S-polynomial; the leading terms cancel exactly."""
     ltp = p.leading_term()
@@ -333,16 +350,7 @@ def normal_form(
                 f"{STEP_CEILING_ENV} to allow longer reduction chains"
             )
         m, gid = choice
-        lm, lc, tail_m, tail_c = _rewrite_rule(gid)
-        multiplier = m / lm
-        scalar = work.pop(m) / lc
-        target = multiplier * tail_m
-        c = work.get(target, _ZERO) - scalar * tail_c
-        if c:
-            work[target] = c
-        else:
-            work.pop(target, None)
-        steps.append(ReductionStep(gid, multiplier, scalar))
+        steps.append(ReductionStep(gid, *_rewrite_step(work, m, gid)))
 
 
 def nf(p: Polynomial) -> Polynomial:
@@ -359,7 +367,7 @@ def reduce_by_single(p: Polynomial, gid: GeneratorId) -> tuple[Polynomial, Polyn
     p = quotient * generator(gid) + remainder and no remainder monomial
     divisible by the generator's leading monomial.
     """
-    lm, lc, tail_m, tail_c = _rewrite_rule(gid)
+    lm = _leading_monomial(gid)
     quotient: list[tuple[Fraction, Monomial]] = []
     work: dict[Monomial, Fraction] = {t.monomial: t.coefficient for t in p.terms}
     while True:
@@ -373,15 +381,8 @@ def reduce_by_single(p: Polynomial, gid: GeneratorId) -> tuple[Polynomial, Polyn
                 Polynomial.from_terms(quotient),
                 Polynomial.from_terms((c, mm) for mm, c in work.items()),
             )
-        multiplier = m / lm
-        scalar = work.pop(m) / lc
+        multiplier, scalar = _rewrite_step(work, m, gid)
         quotient.append((scalar, multiplier))
-        target = multiplier * tail_m
-        c = work.get(target, _ZERO) - scalar * tail_c
-        if c:
-            work[target] = c
-        else:
-            work.pop(target, None)
 
 
 # ---------------------------------------------------------------------------

@@ -240,18 +240,9 @@ class Polynomial:
             raise ValueError("the zero polynomial has no leading term")
         return self.terms[0]
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        for t in self.terms:
-            if t.monomial == m:
-                return t.coefficient
-        return Fraction(0)
-
     def total_degree(self) -> int:
         """Maximum term degree; -1 for the zero polynomial."""
         return max((t.monomial.degree for t in self.terms), default=-1)
-
-    def monomials(self) -> tuple[Monomial, ...]:
-        return tuple(t.monomial for t in self.terms)
 
     def __add__(self, other: Polynomial) -> Polynomial:
         return Polynomial.from_terms(

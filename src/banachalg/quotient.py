@@ -1,11 +1,15 @@
 """Elements of the quotient of the l1-completed polynomial algebra by the
 closure of the binomial ideal, represented by their normal forms.
 
-The l1 norm of the normal form is an upper bound for the quotient norm (each
-monomial m maps to rho(m) * std(m) with 0 < rho <= 1, see ``ideal``).  For an
-element c*w_k the bound is exact: no combination of the generators can
-produce a bare w_k monomial, so every representative carries the coefficient
-c and the quotient norm is |c|.
+The quotient norm of a class [p] is exactly the l1 norm of nf(p).  Each
+monomial m maps to rho(m) * std(m) with 0 < rho <= 1 (see ``ideal``), so:
+
+  * every representative r = sum c_m * m of [p] has
+    ||r||_1 = sum |c_m| >= sum |c_m| * rho(m) >= ||nf(r)||_1 = ||nf(p)||_1;
+  * nf(p) is itself a representative, so the bound is attained;
+  * nf has operator norm <= 1 in the l1 norm and vanishes on the ideal, so
+    it extends to the completion and vanishes on the closure of the ideal;
+    passing to the closure therefore cannot lower the distance.
 
 ``divide_by_x`` inverts multiplication by x on normal forms.  A standard
 monomial times x is either a standard monomial that still contains x or,
@@ -49,33 +53,15 @@ class RElement:
             )
 
     @property
-    def norm_upper_bound(self) -> Fraction:
-        """l1 norm of the normal form; an upper bound for the quotient norm."""
+    def norm(self) -> Fraction:
+        """The quotient norm: the l1 norm of the normal form (module docstring)."""
         return l1_norm(self.poly)
-
-    @property
-    def exact_norm(self) -> Optional[Fraction]:
-        """The exact quotient norm, available for c*w_k and 0 only."""
-        if self.poly.is_zero():
-            return Fraction(0)
-        if len(self.poly.terms) == 1:
-            t = self.poly.terms[0]
-            m = t.monomial
-            if (
-                m.z_exp == 0
-                and m.x_exp == 0
-                and m.y_exp == 0
-                and len(m.w) == 1
-                and m.w[0][1] == 1
-            ):
-                return abs(t.coefficient)
-        return None
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
     def to_json(self) -> dict:
-        return {"poly": to_str(self.poly), "norm_bound": str(self.norm_upper_bound)}
+        return {"poly": to_str(self.poly), "norm_bound": str(self.norm)}
 
     def __str__(self) -> str:
         return to_str(self.poly)

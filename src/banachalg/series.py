@@ -6,11 +6,11 @@ Matching coefficients of t^k turns the equation into
     x*f_0 = z^2,          x*f_k = y*f_{k-1}   (k >= 1),
 
 and each step is solved exactly with ``divide_by_x``.  The solution is
-f_k = k! * w_k, whose exact quotient norm is k! (bare w_k monomials survive
-in every representative), so the k-th root of the coefficient norm grows
+f_k = k! * w_k.  Its quotient norm is the l1 norm of its normal form (proved
+in ``quotient``), here k!, so the k-th root of the coefficient norm grows
 without bound: the series solves the equation in formal power series but
 converges on no disc of positive radius.  The certificate pins this down by
-pure integer comparisons k! >= bound^k.
+exact comparisons norm(f_k) >= bound^k.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class TruncatedSeriesR:
 
     def to_json(self) -> list[dict]:
         return [
-            {"k": k, "coeff": str(c), "norm": str(c.norm_upper_bound)}
+            {"k": k, "coeff": str(c), "norm": str(c.norm)}
             for k, c in enumerate(self.coeffs)
         ]
 
@@ -117,21 +117,13 @@ def divergence_certificate(
 ) -> DivergenceCertificate:
     """Certify coefficient-norm growth using exact rational comparisons.
 
-    Requires every coefficient to be a plain multiple of a single w_k (the
-    shape ``solve_equation`` produces), because only there is the quotient
-    norm known exactly rather than as an upper bound.
+    Every coefficient's norm is its exact quotient norm, the l1 norm of its
+    normal form (see ``quotient``), whatever its shape.
     """
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
-    norms = []
-    for k, c in enumerate(f.coeffs):
-        exact = c.exact_norm
-        if exact is None:
-            raise ValueError(
-                f"coefficient of t^{k} is not c*w_k; exact norms unavailable"
-            )
-        norms.append(exact)
+    norms = [c.norm for c in f.coeffs]
     reached = None
     for k in range(1, f.truncation_order + 1):
         # norm^(1/k) >= bound  <=>  norm >= bound^k, exact in QQ

@@ -1,9 +1,13 @@
 """CLI behaviour: outputs, JSON schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import banachalg
 from banachalg.cli import main
 
 
@@ -187,3 +191,24 @@ def test_byte_identical_reruns(capsys, argv):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+# --- closed stdout -------------------------------------------------------------
+
+
+def test_closed_stdout_exits_141_quietly():
+    src = os.path.dirname(os.path.dirname(banachalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "banachalg", "--json", "solve-series", "--order", "400"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    ) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err

@@ -11,6 +11,7 @@ from banachalg.ideal import (
     GeneratorId,
     ReductionLimitError,
     STEP_CEILING_ENV,
+    _standard_form,
     divisor_generators,
     generator,
     groebner_certificate,
@@ -366,12 +367,21 @@ def _all_gids(index_bound):
     return out
 
 
-@pytest.mark.parametrize("text", ["y*w0*w2", "z^2*w3", "x*w1*w2", "w0*w3"])
+@pytest.mark.parametrize(
+    "text", ["y*w0*w2", "z^2*w3", "x*w1*w2", "w0*w3", "x*w0*w3", "x*w1*w2*w5"]
+)
 def test_orbits_are_finite_and_homogeneous(text):
     start = m(text)
     orbit = forward_backward_orbit(start, index_bound=8)
     assert len(orbit) < 500
     assert {mono.degree for mono in orbit} == {start.degree}
+    # one standard monomial per orbit, reached with 0 < rho <= 1: the facts
+    # behind the exact quotient norm (see the quotient module docstring)
+    forms = [_standard_form(mono) for mono in orbit]
+    (std,) = {s for _, s in forms}
+    assert std in orbit
+    assert all(0 < rho <= 1 for rho, _ in forms)
+    assert _standard_form(std) == (1, std)
 
 
 # --- certificate ------------------------------------------------------------
