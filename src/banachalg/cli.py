@@ -265,6 +265,11 @@ HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact scalars such as the one of nf(y*w0*w15001) exceed Python's
+    # default limit on int-to-str digits (3.11+); lift it for the CLI
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is not None:
+        set_limit(0)
     try:
         code = HANDLERS[args.command](args)
         sys.stdout.flush()

@@ -11,6 +11,27 @@ in ``quotient``), here k!, so the k-th root of the coefficient norm grows
 without bound: the series solves the equation in formal power series but
 converges on no disc of positive radius.  The certificate pins this down by
 exact comparisons norm(f_k) >= bound^k.
+
+Every formal solution diverges, not only this one.  x is a zero divisor in
+the quotient, so ``divide_by_x`` picks one preimage out of an affine family,
+and the argument must cover all of them.  Let f be any formal solution.
+
+  * The equations give x^(k+1) * f_k = y^k * z^2 for every k: multiply
+    x*f_k = y*f_{k-1} by x^k and descend to x*f_0 = z^2.
+  * The ideal is homogeneous and the normal form keeps degrees, so the
+    quotient is graded and its norm is the sum of the norms of the
+    homogeneous parts.  The degree-(k+2) equation involves only the
+    degree-1 part of f_k, a combination of x, y, z and the w_i.
+  * Among these monomials m only w_k has std(x^(k+1) * m) = std(y^k * z^2)
+    = x*y^k*w0.  For m = x, y or z the exponents of x, y or z in std
+    differ; for w_i with i < k, std keeps x^(k+1-i) with k+1-i >= 2; for
+    i > k it keeps no x.  Since x^(k+1)*w_k = y^k*z^2 / k! in the
+    quotient, the coefficient of w_k in f_k is exactly k!.
+  * Degree-1 monomials are standard, so ||f_k|| >= k! for every formal
+    solution, and no solution converges on a disc of positive radius.
+
+The tests check the third step for every k <= 40 with w-indices up to
+k+39.  The argument does not use integrality.
 """
 
 from __future__ import annotations

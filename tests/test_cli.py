@@ -196,10 +196,15 @@ def test_byte_identical_reruns(capsys, argv):
 # --- closed stdout -------------------------------------------------------------
 
 
-def test_closed_stdout_exits_141_quietly():
+def _subprocess_env():
     src = os.path.dirname(os.path.dirname(banachalg.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_stdout_exits_141_quietly():
+    env = _subprocess_env()
     with subprocess.Popen(
         [sys.executable, "-m", "banachalg", "--json", "solve-series", "--order", "400"],
         stdout=subprocess.PIPE,
@@ -212,3 +217,20 @@ def test_closed_stdout_exits_141_quietly():
     assert proc.returncode == 141
     assert "Traceback" not in err
     assert "Exception ignored" not in err
+
+
+# --- large w-indices ------------------------------------------------------------
+
+
+def test_nf_prints_scalars_beyond_the_int_str_digit_limit():
+    # the exact scalar 7500!*7501!/15001! has more than 4300 digits
+    proc = subprocess.run(
+        [sys.executable, "-m", "banachalg", "nf", "y*w0*w15001"],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.rstrip("\n").endswith("*y*w7500*w7501")

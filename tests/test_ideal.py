@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import banachalg.ideal as ideal
 from banachalg.ideal import (
     F,
     G,
@@ -23,7 +24,7 @@ from banachalg.ideal import (
     reduce_by_single,
     s_polynomial,
 )
-from banachalg.poly import Monomial, Polynomial, l1_norm, parse
+from banachalg.poly import Monomial, Polynomial, l1_norm, parse, to_str
 from banachalg.quotient import project
 
 from conftest import (
@@ -321,9 +322,10 @@ def test_nf_and_project_do_not_use_the_rewriting_engine(monkeypatch):
 
 def test_certificate_does_not_use_the_closed_form(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("nf called")
+        raise AssertionError("closed form called")
 
     monkeypatch.setattr("banachalg.ideal.nf", refuse)
+    monkeypatch.setattr("banachalg.ideal._standard_form", refuse)
     assert groebner_certificate(4).all_passed
 
 
@@ -426,3 +428,58 @@ def test_certificate_text_rendering():
     text = report.to_text()
     assert "identities hold" in text
     assert report.failed == 0
+
+
+PHASE_IV = "nf(S(p,q)) = 0"
+
+
+def _phase_iv_rows(report):
+    return [c for c in report.checks if c.identity == PHASE_IV]
+
+
+def test_certificate_phase_iv_matches_the_rewriting_engine():
+    # each pair's row does not depend on max_index, so one oracle pass over
+    # the pairs of max_index 12 covers every smaller certificate
+    oracle = {}
+    for p_id, q_id in ideal._noncoprime_pairs(12):
+        s = s_polynomial(generator(p_id), generator(q_id))
+        oracle[p_id, q_id] = (
+            normal_form(s)[0].is_zero(),
+            f"S({p_id},{q_id}) = {to_str(s)}",
+        )
+    for n in range(2, 13):
+        rows = _phase_iv_rows(groebner_certificate(n))
+        pairs = list(ideal._noncoprime_pairs(n))
+        assert len(rows) == len(pairs)
+        for row, pair in zip(rows, pairs):
+            assert (row.passed, row.lhs) == oracle[pair]
+            assert row.indices == ideal._pair_indices(*pair)
+            assert row.rhs == "0"
+
+
+def test_certificate_does_not_use_the_rewriting_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("normal_form called")
+
+    monkeypatch.setattr("banachalg.ideal.normal_form", refuse)
+    assert groebner_certificate(8).all_passed
+
+
+def test_certificate_catches_a_wrong_generator(monkeypatch):
+    # F3 = y*w2 - 3*x*w3 with its tail coefficient perturbed breaks the
+    # rescaling lemma; the chains alone read only monomials and would not
+    # notice
+    rule = ideal._rewrite_rule
+
+    def perturbed(gid):
+        lm, lc, tm, tc = rule(gid)
+        return (lm, lc, tm, tc + 1) if gid == F(3) else (lm, lc, tm, tc)
+
+    monkeypatch.setattr("banachalg.ideal._rewrite_rule", perturbed)
+    report = groebner_certificate(5)
+    assert not report.all_passed
+    rows = _phase_iv_rows(report)
+    pairs = list(ideal._noncoprime_pairs(5))
+    failing = {pair for row, pair in zip(rows, pairs) if not row.passed}
+    assert failing
+    assert failing == {pair for pair in pairs if F(3) in pair}

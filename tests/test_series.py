@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from banachalg.ideal import _standard_form
 from banachalg.poly import Monomial, Polynomial, parse
 from banachalg.quotient import R_ZERO, project
 from banachalg.series import (
@@ -73,6 +74,23 @@ def test_order_by_order_uniqueness_under_random_perturbation():
         r = residual(TruncatedSeriesR(tuple(coeffs)))
         hit = [j for j in range(7) if not r.coeffs[j].is_zero()]
         assert hit and min(hit) in (k, k + 1)
+
+
+def test_every_formal_solution_has_k_factorial_wk():
+    # the finite step of the proof in the series docstring: x^(k+1)*f_k =
+    # y^k*z^2 pins the degree-1 part of any solution f_k to k!*w_k
+    for k in range(41):
+        rho, target = _standard_form(Monomial.build(y=k, z=2))
+        degree_one = [Monomial.build(x=1), Monomial.build(y=1), Monomial.build(z=1)]
+        degree_one += [Monomial.build(w={i: 1}) for i in range(k + 40)]
+        hits = [
+            mono
+            for mono in degree_one
+            if _standard_form(Monomial.build(x=k + 1) * mono)[1] == target
+        ]
+        assert hits == [Monomial.build(w={k: 1})]
+        rho_k, _ = _standard_form(Monomial.build(x=k + 1, w={k: 1}))
+        assert rho / rho_k == math.factorial(k)
 
 
 def test_exact_norms_are_factorials():
