@@ -4,9 +4,7 @@ Every verification is a subcommand; output is plain text by default or JSON
 with --json.  Exit codes: 0 all checked assertions hold, 1 a verification
 failed, 2 usage or parse error, 141 (128 + SIGPIPE) the reader closed stdout
 before the output was written, with nothing on stderr.  All numbers print
-as exact integers or fractions p/q.  The step ceiling of the rewriting
-engine (the step count of ``nf`` and ``groebner-verify``) honours the
-environment variable BANACHALG_MAX_REDUCTION_STEPS; hitting it exits 2.
+as exact integers or fractions p/q.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from .ideal import (
     ReductionLimitError,
     generator,
     groebner_certificate,
+    nf,
     normal_form,
     parse_generator_id,
     s_polynomial,
@@ -91,6 +90,10 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]):
 
 def cmd_nf(args) -> int:
     p = parse(args.expr)
+    if not args.json:
+        # the closed form; only the JSON step count needs the rewriter
+        print(to_str(nf(p)))
+        return 0
     result, trace = normal_form(p)
     _emit(
         {

@@ -31,6 +31,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence, Union
 
+from .poly import Monomial, format_term
+
 Rational = Union[int, Fraction]
 
 
@@ -96,25 +98,10 @@ class BRhoElement:
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        parts = []
-        for i, (e, c) in enumerate(reversed(self.coeffs)):
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag) if mag.denominator == 1 else f"({mag})"
-            else:
-                xs = "x" if e == 1 else f"x^{e}"
-                if mag == 1:
-                    body = xs
-                elif mag.denominator == 1:
-                    body = f"{mag}*{xs}"
-                else:
-                    body = f"({mag})*{xs}"
-            if i == 0:
-                parts.append(("-" if sign == "-" else "") + body)
-            else:
-                parts.append(f"{sign} {body}")
-        return " ".join(parts)
+        return " ".join(
+            format_term(c, Monomial.build(x=e), leading=i == 0)
+            for i, (e, c) in enumerate(reversed(self.coeffs))
+        )
 
 
 def brho_norm(f: BRhoElement) -> Fraction:

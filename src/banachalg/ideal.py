@@ -34,6 +34,14 @@ total degree, and never raises a w-index, so it terminates without any
 Noetherian assumption.  It records a replayable trace and serves as the
 oracle for ``nf`` and for the certificate's chain engine in the tests.
 
+A step only adds to a monomial smaller than the one it rewrites, so the
+deterministic strategy and ``reduce_by_single`` make one pass over the
+monomials in decreasing order.  With phi(m) = z + x + sum(i^2 * e_i), a step
+lowers phi by at least 1 (F0 by 1, F_j by 2j, G_{k,l} by 2(l-k)) and moves
+at least one input term one edge along its own path, so no reduction of p
+takes more than ``_step_bound(p)``, the sum of phi over its terms.  Beyond
+it ``ReductionLimitError`` signals a broken rewrite rule.
+
 ``groebner_certificate`` must certify the basis by reduction, not through
 the closed form whose correctness rests on that basis.  It uses neither
 ``nf`` nor ``normal_form`` for the S-polynomials of phase (iv).  Instead it
@@ -59,26 +67,21 @@ checked by ``groebner_certificate`` are exact scalar-for-scalar.
 
 from __future__ import annotations
 
-import os
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Optional
+from operator import attrgetter
+from typing import Callable, Iterator, Optional
 
 from .poly import Monomial, Polynomial, Term, to_str
 
-STEP_CEILING_ENV = "BANACHALG_MAX_REDUCTION_STEPS"
-DEFAULT_STEP_CEILING = 10**6
-
 
 class ReductionLimitError(RuntimeError):
-    """The rewriting engine reached its step ceiling before a normal form.
-
-    Reduction always terminates, but a legitimate chain can be long (about
-    one step per unit of w-index); a larger ceiling lets it finish.
-    """
+    """A reduction took more steps than ``_step_bound`` allows for its input,
+    which only a rewrite rule that does not lower its monomial can cause."""
 
 
 @dataclass(frozen=True, order=True)
@@ -154,12 +157,8 @@ def leading_term(p: Polynomial) -> Term:
     return p.leading_term()
 
 
-@lru_cache(maxsize=None)
-def _leading_monomial(gid: GeneratorId) -> Monomial:
-    return generator(gid).leading_term().monomial
-
-
 _ZERO = Fraction(0)
+_KEY = attrgetter("key")  # the monomial order, as a sort key
 
 
 @lru_cache(maxsize=None)
@@ -176,9 +175,10 @@ def _rewrite_rule(gid: GeneratorId) -> tuple[Monomial, Fraction, Monomial, Fract
 
 def _rewrite_step(
     work: dict[Monomial, Fraction], m: Monomial, gid: GeneratorId
-) -> tuple[Monomial, Fraction]:
+) -> tuple[Monomial, Fraction, Monomial]:
     """Cancel the term of m in ``work`` (in place) by subtracting
-    scalar * multiplier * generator(gid); returns (multiplier, scalar)."""
+    scalar * multiplier * generator(gid); returns (multiplier, scalar,
+    target) with target the monomial that receives the coefficient."""
     lm, lc, tail_m, tail_c = _rewrite_rule(gid)
     multiplier = m / lm
     scalar = work.pop(m) / lc
@@ -188,7 +188,7 @@ def _rewrite_step(
         work[target] = c
     else:
         work.pop(target, None)
-    return multiplier, scalar
+    return multiplier, scalar, target
 
 
 def s_polynomial(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -272,10 +272,8 @@ def divisor_generators(m: Monomial) -> tuple[GeneratorId, ...]:
                 out.append(F(j))
     if m.z_exp >= 2:
         out.append(F(0))
-    # largest leading monomial first; equal leading monomials cannot occur
-    # across distinct generators, but break such ties by smallest id anyway
-    out.sort()
-    out.sort(key=lambda g: _leading_monomial(g).key, reverse=True)
+    # largest leading monomial first; distinct generators never tie
+    out.sort(key=lambda g: _rewrite_rule(g)[0].key, reverse=True)
     return tuple(out)
 
 
@@ -302,15 +300,47 @@ class ReductionTrace:
         return p
 
 
-def _step_ceiling(limit: Optional[int]) -> int:
-    if limit is not None:
-        return limit
-    raw = os.environ.get(STEP_CEILING_ENV)
-    if not raw:
-        return DEFAULT_STEP_CEILING
-    if not raw.strip().isdecimal():
-        raise ValueError(f"{STEP_CEILING_ENV} must be a nonnegative integer, got {raw!r}")
-    return int(raw)
+def _step_bound(p: Polynomial) -> int:
+    """Sum over the terms of p of z + x + sum(i^2 * e_i); see the module
+    docstring for why no reduction of p takes more steps."""
+    return sum(
+        m.z_exp + m.x_exp + sum(i * i * e for i, e in m.w)
+        for m in (t.monomial for t in p.terms)
+    )
+
+
+def _limit_error(bound: int) -> ReductionLimitError:
+    return ReductionLimitError(
+        f"no normal form within {bound} reduction steps, the bound computed "
+        "from the input; a rewrite rule does not lower its monomial"
+    )
+
+
+def _largest_first(
+    work: dict[Monomial, Fraction],
+    divisors: Callable[[Monomial], tuple[GeneratorId, ...]],
+    bound: int,
+) -> Iterator[tuple[GeneratorId, Monomial, Fraction]]:
+    """Rewrite ``work`` in place, always at its largest monomial that has
+    ``divisors``, by the first of them; yields (generator, multiplier,
+    scalar) per step.  ``pending`` is ascending; targets are smaller than
+    the monomial just popped, so they are queued in place, once each."""
+    pending = sorted(work, key=_KEY)
+    steps = 0
+    while pending:
+        m = pending.pop()
+        gens = divisors(m) if m in work else ()  # not in work: cancelled
+        if not gens:
+            continue
+        gid = gens[0]
+        if steps == bound:
+            raise _limit_error(bound)
+        steps += 1
+        multiplier, scalar, target = _rewrite_step(work, m, gid)
+        i = bisect_left(pending, target.key, key=_KEY)
+        if i == len(pending) or pending[i] != target:
+            pending.insert(i, target)
+        yield gid, multiplier, scalar
 
 
 def normal_form(
@@ -318,7 +348,6 @@ def normal_form(
     *,
     strategy: str = "largest",
     rng: Optional[random.Random] = None,
-    max_steps: Optional[int] = None,
 ) -> tuple[Polynomial, ReductionTrace]:
     """Reduce p to its unique standard-monomial representative modulo the
     ideal, returning the result together with a replayable trace.
@@ -328,41 +357,29 @@ def normal_form(
     strategy 'random': reduce a uniformly chosen reducible term by a uniformly
     chosen applicable generator (pass ``rng``); the result is identical by
     confluence, which the test suite checks rather than assumes.
+    Both raise ReductionLimitError past ``_step_bound(p)`` steps, which only
+    a broken rewrite rule can reach.
     """
     if strategy not in ("largest", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "random" and rng is None:
-        rng = random.Random()
-    ceiling = _step_ceiling(max_steps)
-    steps: list[ReductionStep] = []
+    bound = _step_bound(p)
     # dict-backed worklist; each step touches two entries, so the canonical
     # Polynomial is rebuilt only once at the end
     work: dict[Monomial, Fraction] = {t.monomial: t.coefficient for t in p.terms}
-    while True:
-        choice = None
-        if strategy == "largest":
-            for m in sorted(work, key=lambda m: m.key, reverse=True):
-                gens = divisor_generators(m)
-                if gens:
-                    choice = (m, gens[0])
-                    break
-        else:
-            reducible = [
-                (m, gens) for m in work if (gens := divisor_generators(m))
-            ]
-            if reducible:
-                m, gens = reducible[rng.randrange(len(reducible))]
-                choice = (m, gens[rng.randrange(len(gens))])
-        if choice is None:
-            result = Polynomial.from_terms((c, m) for m, c in work.items())
-            return result, ReductionTrace(tuple(steps), result)
-        if len(steps) >= ceiling:
-            raise ReductionLimitError(
-                f"no normal form after {ceiling} reduction steps; raise "
-                f"{STEP_CEILING_ENV} to allow longer reduction chains"
-            )
-        m, gid = choice
-        steps.append(ReductionStep(gid, *_rewrite_step(work, m, gid)))
+    if strategy == "largest":
+        steps = [ReductionStep(*s) for s in _largest_first(work, divisor_generators, bound)]
+    else:
+        rng = rng or random.Random()
+        steps = []
+        while reducible := [(m, gens) for m in work if (gens := divisor_generators(m))]:
+            if len(steps) == bound:
+                raise _limit_error(bound)
+            m, gens = reducible[rng.randrange(len(reducible))]
+            gid = gens[rng.randrange(len(gens))]
+            multiplier, scalar, _ = _rewrite_step(work, m, gid)
+            steps.append(ReductionStep(gid, multiplier, scalar))
+    result = Polynomial.from_terms((c, m) for m, c in work.items())
+    return result, ReductionTrace(tuple(steps), result)
 
 
 def nf(p: Polynomial) -> Polynomial:
@@ -379,22 +396,11 @@ def reduce_by_single(p: Polynomial, gid: GeneratorId) -> tuple[Polynomial, Polyn
     p = quotient * generator(gid) + remainder and no remainder monomial
     divisible by the generator's leading monomial.
     """
-    lm = _leading_monomial(gid)
-    quotient: list[tuple[Fraction, Monomial]] = []
+    lm = _rewrite_rule(gid)[0]
     work: dict[Monomial, Fraction] = {t.monomial: t.coefficient for t in p.terms}
-    while True:
-        m = None
-        for cand in sorted(work, key=lambda m: m.key, reverse=True):
-            if lm.divides(cand):
-                m = cand
-                break
-        if m is None:
-            return (
-                Polynomial.from_terms(quotient),
-                Polynomial.from_terms((c, mm) for mm, c in work.items()),
-            )
-        multiplier, scalar = _rewrite_step(work, m, gid)
-        quotient.append((scalar, multiplier))
+    steps = _largest_first(work, lambda m: (gid,) if lm.divides(m) else (), _step_bound(p))
+    quotient = Polynomial.from_terms((scalar, mult) for _, mult, scalar in steps)
+    return quotient, Polynomial.from_terms((c, m) for m, c in work.items())
 
 
 # ---------------------------------------------------------------------------

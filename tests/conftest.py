@@ -10,7 +10,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from banachalg.ideal import is_standard_monomial
+import pytest
+
+import banachalg.ideal as ideal
+from banachalg.ideal import F, is_standard_monomial
 from banachalg.poly import Monomial, Polynomial
 
 VARIABLES = ["z", "x", "y"] + [f"w{i}" for i in range(11)]
@@ -88,3 +91,16 @@ def nonzero_random_standard_polynomial(rng: random.Random, **kw) -> Polynomial:
         p = random_standard_polynomial(rng, **kw)
         if not p.is_zero():
             return p
+
+
+@pytest.fixture
+def broken_f0(monkeypatch):
+    """A faulty F0 rule whose tail equals its lead: rewriting z^2 gives z^2
+    back with the same coefficient, so reduction never ends by itself."""
+    rule = ideal._rewrite_rule
+
+    def broken(gid):
+        lm, lc, tm, tc = rule(gid)
+        return (lm, lc, lm, tc) if gid == F(0) else (lm, lc, tm, tc)
+
+    monkeypatch.setattr("banachalg.ideal._rewrite_rule", broken)

@@ -80,14 +80,21 @@ def test_parse_error_exit_code(capsys):
     assert "position" in err
 
 
-@pytest.mark.parametrize("raw", ["0", "abc", "-3"])
-def test_step_ceiling_errors_exit_2(capsys, monkeypatch, raw):
-    monkeypatch.setenv("BANACHALG_MAX_REDUCTION_STEPS", raw)
-    code, out, err = run(capsys, "nf", "z^2")
+def test_nf_text_uses_the_closed_form(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("normal_form called")
+
+    monkeypatch.setattr("banachalg.cli.normal_form", refuse)
+    code, out, _ = run(capsys, "nf", "z^2*w1 + x*w0*w3")
+    assert code == 0
+    assert out == "(1/6)*y*w1^2 + y*w0^2\n"
+
+
+def test_broken_rewrite_rule_exits_2(capsys, broken_f0):
+    code, out, err = run(capsys, "--json", "nf", "z^2")
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "BANACHALG_MAX_REDUCTION_STEPS" in err
 
 
 # --- groebner-verify ---------------------------------------------------------

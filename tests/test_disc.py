@@ -62,6 +62,15 @@ def test_mixed_rho_rejected():
         el({0: 1}, rho=2) + el({0: 1}, rho=3)
 
 
+def test_element_printing():
+    # the polynomial grammar of poly.to_str, in the one variable x
+    assert str(el({3: 2, 1: Fraction(1, 2), 0: -1})) == "2*x^3 + (1/2)*x - 1"
+    assert str(el({2: Fraction(-3, 4), 1: 1, 0: Fraction(5, 3)})) == (
+        "-(3/4)*x^2 + x + (5/3)"
+    )
+    assert str(BRhoElement.zero(2)) == "0"
+
+
 # --- square root of 1 + t ---------------------------------------------------
 
 

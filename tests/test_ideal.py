@@ -11,8 +11,9 @@ from banachalg.ideal import (
     G,
     GeneratorId,
     ReductionLimitError,
-    STEP_CEILING_ENV,
+    ReductionStep,
     _standard_form,
+    _step_bound,
     divisor_generators,
     generator,
     groebner_certificate,
@@ -262,17 +263,61 @@ def test_homogeneous_steps():
         assert len(degs) == 1
 
 
-def test_step_ceiling_guard():
-    with pytest.raises(ReductionLimitError):
-        normal_form(parse("z^2"), max_steps=0)
+# --- one pass and the step bound -----------------------------------------------
 
 
-def test_step_ceiling_env_override(monkeypatch):
-    monkeypatch.setenv(STEP_CEILING_ENV, "0")
+def _rescan_normal_form(p):
+    """Reference: after every step, re-sort the whole worklist and rewrite
+    its largest reducible monomial by its first divisor generator."""
+    work = {t.monomial: t.coefficient for t in p.terms}
+    steps = []
+    while True:
+        for mono in sorted(work, key=lambda mono: mono.key, reverse=True):
+            if gens := divisor_generators(mono):
+                break
+        else:
+            return Polynomial.from_terms((c, mono) for mono, c in work.items()), steps
+        multiplier, scalar, _ = ideal._rewrite_step(work, mono, gens[0])
+        steps.append(ReductionStep(gens[0], multiplier, scalar))
+
+
+def _pass_corpus():
+    """Seeded polynomials, long G chains and a dense power with seeded
+    coefficients (495 terms, many steps landing on queued monomials)."""
+    rng = random.Random(43)
+    corpus = [random_polynomial(rng) for _ in range(150)]
+    corpus += [random_polynomial(rng, 12, 9, 15) for _ in range(50)]
+    oracle = _oracle_corpus(rng)
+    corpus += [
+        Polynomial.from_terms((random_coefficient(rng), mono) for mono in oracle[i : i + 6])
+        for i in range(0, len(oracle), 6)
+    ]
+    corpus += [parse(f"y*w0*w{n}") for n in (50, 200)]
+    linear = Polynomial.from_terms(
+        (random_coefficient(rng), m(v)) for v in "z x y w0 w1 w2 w3 w5 w8".split()
+    )
+    corpus.append(linear * linear * linear * linear)
+    return corpus
+
+
+def test_one_pass_matches_the_rescan_reference():
+    for p in _pass_corpus():
+        result, trace = normal_form(p)
+        assert (result, list(trace.steps)) == _rescan_normal_form(p)
+
+
+def test_steps_within_the_bound_for_both_strategies():
+    for i, p in enumerate(_pass_corpus()):
+        bound = _step_bound(p)
+        assert len(normal_form(p)[1].steps) <= bound
+        randomized = normal_form(p, strategy="random", rng=random.Random(i))
+        assert len(randomized[1].steps) <= bound
+
+
+@pytest.mark.parametrize("strategy", ["largest", "random"])
+def test_broken_rule_raises_instead_of_looping(broken_f0, strategy):
     with pytest.raises(ReductionLimitError):
-        normal_form(parse("z^2"))
-    monkeypatch.setenv(STEP_CEILING_ENV, "10")
-    assert normal_form(parse("z^2"))[0] == parse("x*w0")
+        normal_form(parse("z^2 + x*w3"), strategy=strategy, rng=random.Random(0))
 
 
 # --- closed form against the rewriting engine ---------------------------------
