@@ -76,7 +76,7 @@ from math import factorial
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
-from .poly import Monomial, Polynomial, Term, to_str
+from .poly import Monomial, Polynomial, Term, _rewrite_monomial, format_term, to_str
 
 
 class ReductionLimitError(RuntimeError):
@@ -569,10 +569,10 @@ def groebner_certificate(max_index: int) -> CertificateReport:
         lm_p, lc_p, tm_p, tc_p = _rewrite_rule(p_id)
         lm_q, lc_q, tm_q, tc_q = _rewrite_rule(q_id)
         big = lm_p.lcm(lm_q)
-        m1 = (big / lm_p) * tm_p
-        m2 = (big / lm_q) * tm_q
         # the two terms left of s_polynomial once the leading terms cancel
-        s = Polynomial.from_terms([(-lc_q * tc_p, m1), (lc_p * tc_q, m2)])
+        m1 = _rewrite_monomial(big, lm_p, tm_p)
+        m2 = _rewrite_monomial(big, lm_q, tm_q)
+        lhs = _binomial_str(-lc_q * tc_p, m1, lc_p * tc_q, m2)
         passed = (
             _lemma_holds(p_id, lemma)
             and _lemma_holds(q_id, lemma)
@@ -583,7 +583,7 @@ def groebner_certificate(max_index: int) -> CertificateReport:
                 "nf(S(p,q)) = 0",
                 _pair_indices(p_id, q_id),
                 passed,
-                f"S({p_id},{q_id}) = {to_str(s)}",
+                f"S({p_id},{q_id}) = {lhs}",
                 "0",
             )
         )
@@ -613,11 +613,22 @@ def _chain_end(m: Monomial, ends: dict[Monomial, Monomial]) -> Monomial:
             break
         lm, _, tm, _ = _rewrite_rule(gens[0])
         path.append(m)
-        m = (m / lm) * tm
+        m = _rewrite_monomial(m, lm, tm)
     end = ends[m]
     for seen in path:
         ends[seen] = end
     return end
+
+
+def _binomial_str(c1: Fraction, m1: Monomial, c2: Fraction, m2: Monomial) -> str:
+    """``to_str`` of c1*m1 + c2*m2 for nonzero c1, c2, without building the
+    Polynomial."""
+    if m1 == m2:
+        c = c1 + c2
+        return format_term(c, m1) if c else "0"
+    if m1.key < m2.key:
+        c1, m1, c2, m2 = c2, m2, c1, m1
+    return f"{format_term(c1, m1)} {format_term(c2, m2, leading=False)}"
 
 
 def _pair_indices(p_id: GeneratorId, q_id: GeneratorId) -> tuple[int, ...]:

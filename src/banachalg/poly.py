@@ -14,6 +14,17 @@ on the tuple
 
 which realises the variable precedence z > x > y > w_l > w_k for l > k.
 
+Monomials are validated once, where they enter from outside: the public
+constructor ``Monomial(z, x, y, w)`` rejects negative exponents, zero
+w-exponents, negative w-indices and w-indices that do not strictly ascend.
+``Monomial.build``, the parser and every other module construct through it.
+Products, lcms and exact quotients of valid monomials are valid by
+construction, so ``*``, ``lcm``, ``/`` (after its ``divides`` check) and
+the rewrite helper ``_rewrite_monomial`` skip the checks and build their
+results with the private ``_monomial``.  The certificate's rewrite chains
+do little else than build such monomials, so the checks would dominate
+their cost.
+
 A polynomial stores its terms sorted strictly decreasing in that order, so
 the leading term is ``terms[0]`` and printing is canonical.  The l1 norm
 (sum of absolute values of the coefficients) makes the completion of this
@@ -22,7 +33,7 @@ ring a Banach algebra; ``l1_norm`` computes it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -57,34 +68,55 @@ def W(index: int) -> Variable:
     return Variable("w", index)
 
 
-@dataclass(frozen=True)
 class Monomial:
     """Exponent record: z^z_exp * x^x_exp * y^y_exp * prod w_i^e_i.
 
-    ``w`` holds (index, exponent) pairs with ascending indices and no zero
-    exponents.  Instances are immutable and hashable; ``key`` caches the
-    order tuple used by ``compare``.
+    ``w`` holds (index, exponent) pairs with strictly ascending indices and
+    no zero exponents; the constructor raises ValueError otherwise (see the
+    module docstring for the operations that skip the check).  Instances
+    are immutable and hashable; ``key`` caches the order tuple used by
+    ``compare``, and the hash is computed once from it.
     """
 
-    z_exp: int = 0
-    x_exp: int = 0
-    y_exp: int = 0
-    w: tuple[tuple[int, int], ...] = ()
-    key: tuple = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("z_exp", "x_exp", "y_exp", "w", "key", "_hash")
 
-    def __post_init__(self):
-        if min((self.z_exp, self.x_exp, self.y_exp), default=0) < 0 or any(
-            e <= 0 or i < 0 for i, e in self.w
-        ):
-            raise ValueError(f"invalid exponents in monomial {self!r}")
-        degree = self.z_exp + self.x_exp + self.y_exp + sum(e for _, e in self.w)
-        # w-part compared from the highest index downward; with equal total
-        # degree, lexicographic comparison of descending (index, exp) pairs
-        # is equivalent to comparing padded exponent vectors.
-        wdesc = tuple(sorted(self.w, reverse=True))
-        object.__setattr__(
-            self, "key", (degree, self.z_exp, self.x_exp, self.y_exp, wdesc)
-        )
+    def __init__(
+        self,
+        z_exp: int = 0,
+        x_exp: int = 0,
+        y_exp: int = 0,
+        w: tuple[tuple[int, int], ...] = (),
+    ):
+        if min(z_exp, x_exp, y_exp) < 0 or any(e <= 0 or i < 0 for i, e in w):
+            raise ValueError(
+                f"invalid exponents in monomial {_repr(z_exp, x_exp, y_exp, w)}"
+            )
+        if any(a >= b for (a, _), (b, _) in zip(w, w[1:])):
+            raise ValueError(
+                "w-indices must strictly ascend in monomial "
+                f"{_repr(z_exp, x_exp, y_exp, w)}"
+            )
+        _fill(self, z_exp, x_exp, y_exp, w)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of Monomial")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of Monomial")
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.key == other.key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return _repr(self.z_exp, self.x_exp, self.y_exp, self.w)
+
+    def __reduce__(self):
+        return Monomial, (self.z_exp, self.x_exp, self.y_exp, self.w)
 
     @staticmethod
     def build(z: int = 0, x: int = 0, y: int = 0, w: Mapping[int, int] | None = None) -> Monomial:
@@ -110,7 +142,7 @@ class Monomial:
         d = dict(self.w)
         for i, e in other.w:
             d[i] = d.get(i, 0) + e
-        return Monomial(
+        return _monomial(
             self.z_exp + other.z_exp,
             self.x_exp + other.x_exp,
             self.y_exp + other.y_exp,
@@ -133,7 +165,7 @@ class Monomial:
         d = dict(self.w)
         for i, e in other.w:
             d[i] -= e
-        return Monomial(
+        return _monomial(
             self.z_exp - other.z_exp,
             self.x_exp - other.x_exp,
             self.y_exp - other.y_exp,
@@ -144,7 +176,7 @@ class Monomial:
         d = dict(self.w)
         for i, e in other.w:
             d[i] = max(d.get(i, 0), e)
-        return Monomial(
+        return _monomial(
             max(self.z_exp, other.z_exp),
             max(self.x_exp, other.x_exp),
             max(self.y_exp, other.y_exp),
@@ -163,6 +195,64 @@ class Monomial:
         for i, e in self.w:
             parts.append(f"w{i}" if e == 1 else f"w{i}^{e}")
         return "*".join(parts)
+
+
+_set_z, _set_x, _set_y, _set_w, _set_key, _set_hash = (
+    Monomial.__dict__[name].__set__ for name in Monomial.__slots__
+)
+
+
+def _fill(
+    m: Monomial, z: int, x: int, y: int, w: tuple[tuple[int, int], ...]
+) -> Monomial:
+    """Store the fields of m and its order key, bypassing the read-only
+    ``__setattr__``.  The caller guarantees that the fields are valid."""
+    degree = z + x + y
+    for _, e in w:
+        degree += e
+    # w-part compared from the highest index downward; with equal total
+    # degree, lexicographic comparison of descending (index, exp) pairs
+    # is equivalent to comparing padded exponent vectors.
+    key = (degree, z, x, y, w[::-1])
+    _set_z(m, z)
+    _set_x(m, x)
+    _set_y(m, y)
+    _set_w(m, w)
+    _set_key(m, key)
+    _set_hash(m, hash(key))
+    return m
+
+
+def _monomial(z: int, x: int, y: int, w: tuple[tuple[int, int], ...]) -> Monomial:
+    """The unchecked constructor, for results valid by construction."""
+    return _fill(object.__new__(Monomial), z, x, y, w)
+
+
+def _repr(z: int, x: int, y: int, w) -> str:
+    return f"Monomial(z_exp={z!r}, x_exp={x!r}, y_exp={y!r}, w={w!r})"
+
+
+def _rewrite_monomial(m: Monomial, lead: Monomial, tail: Monomial) -> Monomial:
+    """(m / lead) * tail in one build; ValueError unless lead divides m."""
+    if m.z_exp < lead.z_exp or m.x_exp < lead.x_exp or m.y_exp < lead.y_exp:
+        raise ValueError(f"{lead} does not divide {m}")
+    d = dict(m.w)
+    for i, e in lead.w:
+        left = d.get(i, 0) - e
+        if left > 0:
+            d[i] = left
+        elif left == 0:
+            del d[i]
+        else:
+            raise ValueError(f"{lead} does not divide {m}")
+    for i, e in tail.w:
+        d[i] = d.get(i, 0) + e
+    return _monomial(
+        m.z_exp - lead.z_exp + tail.z_exp,
+        m.x_exp - lead.x_exp + tail.x_exp,
+        m.y_exp - lead.y_exp + tail.y_exp,
+        tuple(sorted(d.items())),
+    )
 
 
 ONE = Monomial()
@@ -301,18 +391,20 @@ def l1_norm(p: Polynomial) -> Fraction:
 
 
 def format_term(c: Fraction, m: Monomial, leading: bool = True) -> str:
-    sign = "-" if c < 0 else ""
+    # integer arithmetic on numerator and denominator: Fraction's own
+    # comparisons and abs() cost more than the rest of the printing
+    num, den = c.numerator, c.denominator
+    sign = "-" if num < 0 else ""
     if not leading:
-        sign = "- " if c < 0 else "+ "
-    mag = abs(c)
+        sign = "- " if num < 0 else "+ "
+    num = abs(num)
+    mag = str(num) if den == 1 else f"({num}/{den})"
     if m.degree == 0:
-        body = str(mag) if mag.denominator == 1 else f"({mag})"
-    elif mag == 1:
+        body = mag
+    elif num == 1 and den == 1:
         body = str(m)
-    elif mag.denominator == 1:
-        body = f"{mag}*{m}"
     else:
-        body = f"({mag})*{m}"
+        body = f"{mag}*{m}"
     return sign + body
 
 

@@ -25,7 +25,14 @@ from banachalg.ideal import (
     reduce_by_single,
     s_polynomial,
 )
-from banachalg.poly import Monomial, Polynomial, l1_norm, parse, to_str
+from banachalg.poly import (
+    Monomial,
+    Polynomial,
+    _rewrite_monomial,
+    l1_norm,
+    parse,
+    to_str,
+)
 from banachalg.quotient import project
 
 from conftest import (
@@ -169,6 +176,28 @@ def test_divisor_generators_ordering():
         G(0, 1),
     )
     assert divisor_generators(m("w0*w9")) == ()
+
+
+def test_one_build_rewrite_matches_divide_then_multiply():
+    rng = random.Random(41)
+    pool = [F(j) for j in range(11)]
+    pool += [G(k, l) for k in range(10) for l in range(k + 1, 10)]
+    divisible = refused = 0
+    for _ in range(600):
+        mono = random_monomial(rng)
+        for gid in list(divisor_generators(mono)) + rng.sample(pool, 3):
+            lm, _, tm, _ = ideal._rewrite_rule(gid)
+            if lm.divides(mono):
+                got = _rewrite_monomial(mono, lm, tm)
+                expected = (mono / lm) * tm
+                assert got == expected
+                assert (got.key, hash(got)) == (expected.key, hash(expected))
+                divisible += 1
+            else:
+                with pytest.raises(ValueError):
+                    _rewrite_monomial(mono, lm, tm)
+                refused += 1
+    assert divisible > 300 and refused > 300
 
 
 # --- normal form ------------------------------------------------------------

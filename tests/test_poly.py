@@ -1,5 +1,7 @@
 """Polynomial core: order, arithmetic, l1 norm, text round trip."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -212,3 +214,122 @@ def test_monomial_degree_and_accessors():
     assert q.w_indices() == (4,)
     assert q.w_size() == 5
     assert q.w_mass() == 20
+
+
+# --- Monomial as a value type -----------------------------------------------
+
+
+def fields(mono):
+    return (mono.z_exp, mono.x_exp, mono.y_exp, mono.w)
+
+
+def checked(z, x, y, w):
+    """The expected monomial, built through the validating constructor."""
+    return Monomial.build(z=z, x=x, y=y, w=w)
+
+
+def assert_same_monomial(got, expected):
+    assert got == expected
+    assert fields(got) == fields(expected)
+    assert got.key == expected.key
+    assert hash(got) == hash(expected)
+
+
+def assert_value_contract(a, b):
+    assert (a == b) == (fields(a) == fields(b))
+    assert (a != b) == (fields(a) != fields(b))
+    if a == b:
+        assert hash(a) == hash(b)
+    twin = Monomial(*fields(a))
+    assert twin == a and hash(twin) == hash(a)
+    assert a != fields(a)
+    assert repr(a) == (
+        f"Monomial(z_exp={a.z_exp}, x_exp={a.x_exp}, y_exp={a.y_exp}, w={a.w!r})"
+    )
+    for clone in (
+        pickle.loads(pickle.dumps(a)),
+        copy.copy(a),
+        copy.deepcopy(a),
+    ):
+        assert_same_monomial(clone, a)
+
+
+def assert_arithmetic_matches_checked(a, b):
+    wa, wb = dict(a.w), dict(b.w)
+    product = {i: wa.get(i, 0) + wb.get(i, 0) for i in wa.keys() | wb.keys()}
+    assert_same_monomial(
+        a * b, checked(a.z_exp + b.z_exp, a.x_exp + b.x_exp, a.y_exp + b.y_exp, product)
+    )
+    lcm = {i: max(wa.get(i, 0), wb.get(i, 0)) for i in wa.keys() | wb.keys()}
+    assert_same_monomial(
+        a.lcm(b),
+        checked(
+            max(a.z_exp, b.z_exp), max(a.x_exp, b.x_exp), max(a.y_exp, b.y_exp), lcm
+        ),
+    )
+    assert_same_monomial((a * b) / b, a)
+    if b.divides(a):
+        quotient = {i: e - wb.get(i, 0) for i, e in wa.items()}
+        assert_same_monomial(
+            a / b,
+            checked(a.z_exp - b.z_exp, a.x_exp - b.x_exp, a.y_exp - b.y_exp, quotient),
+        )
+    else:
+        with pytest.raises(ValueError):
+            a / b
+
+
+def test_monomial_value_contract_seeded():
+    rng = random.Random(11)
+    corpus = [random_monomial(rng) for _ in range(300)]
+    corpus += [m("y*w0*w3"), m("y*w3*w0"), m("x*w1^2"), m("1")]
+    for a, b in zip(corpus, corpus[1:] + corpus[:1]):
+        assert_value_contract(a, b)
+        assert_arithmetic_matches_checked(a, b)
+    assert m("y*w0*w3") == m("y*w3*w0")
+    assert repr(m("z*y*w0*w3^2")) == (
+        "Monomial(z_exp=1, x_exp=0, y_exp=1, w=((0, 1), (3, 2)))"
+    )
+
+
+@given(mono_strategy, mono_strategy)
+def test_monomial_value_contract_hypothesis(a, b):
+    assert_value_contract(a, b)
+    assert_arithmetic_matches_checked(a, b)
+
+
+def test_monomial_is_read_only():
+    mono = m("x*w2")
+    for name in ("z_exp", "x_exp", "y_exp", "w", "key", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(mono, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(mono, name)
+    assert fields(mono) == (0, 1, 0, ((2, 1),))
+
+
+@pytest.mark.parametrize(
+    "z, x, y, w",
+    [
+        (-1, 0, 0, ()),
+        (0, -2, 0, ()),
+        (0, 0, -1, ((0, 1),)),
+        (0, 0, 0, ((1, 0),)),
+        (0, 0, 0, ((1, -1),)),
+        (0, 0, 0, ((-1, 1),)),
+    ],
+)
+def test_monomial_rejects_invalid_exponents(z, x, y, w):
+    with pytest.raises(ValueError):
+        Monomial(z, x, y, w)
+
+
+@pytest.mark.parametrize(
+    "w", [((1, 1), (1, 1)), ((3, 1), (0, 1)), ((0, 1), (2, 1), (2, 3))]
+)
+def test_monomial_rejects_unsorted_or_repeated_w_indices(w):
+    # the order key and the merge in from_terms both rely on strictly
+    # ascending w-indices: y*w1*w1 would otherwise sit beside y*w1^2 as a
+    # second term, and y*w3*w0 would escape is_standard_monomial
+    with pytest.raises(ValueError, match="strictly ascend"):
+        Monomial(0, 0, 1, w)

@@ -13,7 +13,15 @@ from fractions import Fraction
 
 import pytest
 
-from banachalg.ideal import F, G, generator, is_standard_monomial, nf
+from banachalg.ideal import (
+    F,
+    G,
+    _standard_form,
+    _wfact,
+    generator,
+    is_standard_monomial,
+    nf,
+)
 from banachalg.poly import Monomial, Polynomial, l1_norm, parse
 from banachalg.quotient import (
     R_ZERO,
@@ -232,6 +240,31 @@ def test_x_is_a_zero_divisor_witness():
     # y annihilates it too: y*(3*w0*w3 - w1*w2) is exactly G(0,2)
     assert Y * torsion == generator(G(0, 2))
     assert project(Y * torsion).is_zero()
+
+
+def test_criterion_4_discrepancies_lie_in_the_kernel_of_x():
+    """Every way the division round trip of acceptance criterion 4 misses is
+    a kernel element of x: on criterion 4's corpus the discrepancy
+    d = divide_by_x(project(x*f)) - project(f) has nf(x*d) == 0, and the
+    reason is scalar-exact: grouped by std(x*m), the coefficients c_m of d
+    satisfy sum(c_m / Wfact(m)) == 0, since nf(x*m) = Wfact(std)/Wfact(m) * std."""
+    rng = random.Random(20240801 + 4)  # the corpus of criterion 4
+    x_mono = X.terms[0].monomial
+    discrepancies = 0
+    for _ in range(500):
+        f = nonzero_random_standard_polynomial(rng)
+        d = divide_by_x(project(X * f)).poly - project(f).poly
+        if d.is_zero():
+            continue
+        discrepancies += 1
+        assert nf(X * d).is_zero()
+        groups: dict[Monomial, Fraction] = {}
+        for t in d.terms:
+            _, std = _standard_form(t.monomial * x_mono)
+            share = t.coefficient / _wfact(t.monomial.w)
+            groups[std] = groups.get(std, Fraction(0)) + share
+        assert all(total == 0 for total in groups.values())
+    assert discrepancies > 0
 
 
 def test_multiplication_by_x_merges_preimages():
