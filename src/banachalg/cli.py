@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .disc import example1_residual, example2_residual, remark_growth
@@ -81,40 +82,44 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(payload: dict, as_json: bool, text_lines: list[str]):
+def _emit(
+    as_json: bool,
+    payload: Callable[[], dict],
+    text_lines: Callable[[], list[str]],
+):
+    """Print the JSON payload or the text lines; only the printed form is
+    built, since some (the certificate's rows) are large."""
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print("\n".join(text_lines))
+        print("\n".join(text_lines()))
 
 
 def cmd_nf(args) -> int:
     p = parse(args.expr)
-    if not args.json:
-        # the closed form; only the JSON step count needs the rewriter
-        print(to_str(nf(p)))
-        return 0
-    result, trace = normal_form(p)
-    _emit(
-        {
+
+    def payload() -> dict:
+        # text prints the closed form; only the JSON step count needs the rewriter
+        result, trace = normal_form(p)
+        return {
             "command": "nf",
             "input": to_str(p),
             "normal_form": to_str(result),
             "steps": len(trace.steps),
             "norm_bound": str(l1_norm(result)),
-        },
-        args.json,
-        [to_str(result)],
-    )
+        }
+
+    _emit(args.json, payload, lambda: [to_str(nf(p))])
     return 0
 
 
 def cmd_norm(args) -> int:
     p = parse(args.expr)
+    norm = str(l1_norm(p))
     _emit(
-        {"command": "norm", "input": to_str(p), "l1_norm": str(l1_norm(p))},
         args.json,
-        [str(l1_norm(p))],
+        lambda: {"command": "norm", "input": to_str(p), "l1_norm": norm},
+        lambda: [norm],
     )
     return 0
 
@@ -122,16 +127,11 @@ def cmd_norm(args) -> int:
 def cmd_spoly(args) -> int:
     g1 = parse_generator_id(args.id1)
     g2 = parse_generator_id(args.id2)
-    s = s_polynomial(generator(g1), generator(g2))
+    s = to_str(s_polynomial(generator(g1), generator(g2)))
     _emit(
-        {
-            "command": "spoly",
-            "f": str(g1),
-            "g": str(g2),
-            "s_polynomial": to_str(s),
-        },
         args.json,
-        [to_str(s)],
+        lambda: {"command": "spoly", "f": str(g1), "g": str(g2), "s_polynomial": s},
+        lambda: [s],
     )
     return 0
 
@@ -139,9 +139,9 @@ def cmd_spoly(args) -> int:
 def cmd_groebner_verify(args) -> int:
     report = groebner_certificate(args.max_index)
     _emit(
-        {"command": "groebner-verify", **report.to_json()},
         args.json,
-        [report.to_text(verbose=args.verbose)],
+        lambda: {"command": "groebner-verify", **report.to_json()},
+        lambda: [report.to_text(verbose=args.verbose)],
     )
     return 0 if report.all_passed else VERIFY_ERROR
 
@@ -149,14 +149,11 @@ def cmd_groebner_verify(args) -> int:
 def cmd_divide_x(args) -> int:
     g = project(parse(args.expr))
     h = divide_by_x(g)
+    result = None if h is None else str(h)
     _emit(
-        {
-            "command": "divide-x",
-            "input": str(g),
-            "result": None if h is None else str(h),
-        },
         args.json,
-        ["none" if h is None else str(h)],
+        lambda: {"command": "divide-x", "input": str(g), "result": result},
+        lambda: ["none" if result is None else result],
     )
     return 0
 
@@ -171,18 +168,25 @@ def cmd_solve_series(args) -> int:
     )
     cert = divergence_certificate(f, args.bound)
     ok = matches and res.is_zero()
-    lines = [f"f_{k} = {c}  (norm {c.norm})" for k, c in enumerate(f.coeffs)]
-    lines.append(f"residual identically zero through t^{args.order}: {res.is_zero()}")
-    lines.append(f"coefficients equal k!*wk for all k: {matches}")
-    if cert.reached_at is None:
+
+    def text_lines() -> list[str]:
+        lines = [f"f_{k} = {c}  (norm {c.norm})" for k, c in enumerate(f.coeffs)]
         lines.append(
-            f"norm^(1/k) >= {cert.bound} not reached within truncation order "
-            f"{args.order}"
+            f"residual identically zero through t^{args.order}: {res.is_zero()}"
         )
-    else:
-        lines.append(f"norm^(1/k) >= {cert.bound} first at k = {cert.reached_at}")
+        lines.append(f"coefficients equal k!*wk for all k: {matches}")
+        if cert.reached_at is None:
+            lines.append(
+                f"norm^(1/k) >= {cert.bound} not reached within truncation order "
+                f"{args.order}"
+            )
+        else:
+            lines.append(f"norm^(1/k) >= {cert.bound} first at k = {cert.reached_at}")
+        return lines
+
     _emit(
-        {
+        args.json,
+        lambda: {
             "command": "solve-series",
             "order": args.order,
             "coefficients": f.to_json(),
@@ -190,8 +194,7 @@ def cmd_solve_series(args) -> int:
             "coefficients_match": matches,
             "certificate": cert.to_json(),
         },
-        args.json,
-        lines,
+        text_lines,
     )
     return 0 if ok else VERIFY_ERROR
 
@@ -216,39 +219,42 @@ def cmd_strong_artin(args) -> int:
                 "leading": str(lead),
             }
         )
-    lines = [
-        f"c={r['c']:2d}  order {r['order']} >= {r['bound']}: "
-        f"{'ok' if r['pass'] else 'FAIL'}  leading {r['leading']}"
-        for r in results
-    ]
-    lines.append(
-        f"family {args.example}: residual order bound holds for all "
-        f"c <= {args.c_max}: {all_ok}"
-    )
+
+    def text_lines() -> list[str]:
+        lines = [
+            f"c={r['c']:2d}  order {r['order']} >= {r['bound']}: "
+            f"{'ok' if r['pass'] else 'FAIL'}  leading {r['leading']}"
+            for r in results
+        ]
+        lines.append(
+            f"family {args.example}: residual order bound holds for all "
+            f"c <= {args.c_max}: {all_ok}"
+        )
+        return lines
+
     _emit(
-        {
+        args.json,
+        lambda: {
             "command": "strong-artin",
             "example": args.example,
             "results": results,
             "all_pass": all_ok,
         },
-        args.json,
-        lines,
+        text_lines,
     )
     return 0 if all_ok else VERIFY_ERROR
 
 
 def cmd_remark(args) -> int:
     table = remark_growth(args.k_max)
-    lines = [f"k={k}  ||x^(k!)||_2 = {n}" for k, n in table]
     _emit(
-        {
+        args.json,
+        lambda: {
             "command": "remark",
             "rho": "2",
             "table": [{"k": k, "norm": str(n)} for k, n in table],
         },
-        args.json,
-        lines,
+        lambda: [f"k={k}  ||x^(k!)||_2 = {n}" for k, n in table],
     )
     return 0
 

@@ -26,7 +26,12 @@ that term has a closed form:
 
 Each rewrite step lead -> scalar * tail scales the coefficient by exactly
 Wfact(tail) / Wfact(lead), a factor in (0, 1], so the scalars multiply up
-to rho and 0 < rho <= 1.  ``nf`` evaluates this closed form term by term.
+to rho and 0 < rho <= 1.  ``nf`` evaluates this closed form term by term in
+integer arithmetic: ``_standard_form`` returns Wfact(std) and Wfact(m) as
+integers, and a term c*m becomes one reduced fraction
+c.numerator * Wfact(std) / (c.denominator * Wfact(m)), none when rho = 1.
+Fractions are added only where terms share std, and the sorted result
+becomes a Polynomial without a second pass through ``from_terms``.
 
 The rewriting engine ``normal_form`` reaches the same result step by step.
 Reduction replaces a term c*m by c'*m' with m' < m, |c'| <= |c| and the same
@@ -69,14 +74,23 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
-from .poly import Monomial, Polynomial, Term, _rewrite_monomial, format_term, to_str
+from .poly import (
+    Monomial,
+    Polynomial,
+    Term,
+    _monomial,
+    _rewrite_monomial,
+    _term,
+    format_term,
+    to_str,
+)
 
 
 class ReductionLimitError(RuntimeError):
@@ -86,11 +100,16 @@ class ReductionLimitError(RuntimeError):
 
 @dataclass(frozen=True, order=True)
 class GeneratorId:
-    """F(j) or G(k, l) with k < l; ordered and hashable."""
+    """F(j) or G(k, l) with k < l; ordered and hashable.
+
+    The hash of (kind, a, b) is computed once, since ids key the rule cache
+    and the certificate's lookups.  ``str`` hashes differ between processes,
+    so pickling and copying rebuild the id through the constructor."""
 
     kind: str
     a: int
     b: int = -1
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("F", "G"):
@@ -99,6 +118,13 @@ class GeneratorId:
             raise ValueError(f"invalid F index {self.a}")
         if self.kind == "G" and not 0 <= self.a < self.b:
             raise ValueError(f"G requires 0 <= k < l, got k={self.a}, l={self.b}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.a, self.b)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return GeneratorId, (self.kind, self.a, self.b)
 
     def __str__(self) -> str:
         return f"F{self.a}" if self.kind == "F" else f"G{self.a},{self.b}"
@@ -224,11 +250,13 @@ def is_standard(p: Polynomial) -> bool:
     return all(is_standard_monomial(t.monomial) for t in p.terms)
 
 
-def _window(size: int, mass: int) -> tuple[tuple[int, int], ...]:
-    """The w-part of the given size and mass supported on some {a, a+1}:
-    mass // size copies of w_a, the remainder shifted up to w_{a+1}."""
+def _window(size: int, mass: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(w, Wfact(w)) for the w-part w of the given size and mass supported on
+    some {a, a+1}: mass // size copies of w_a, the remainder shifted up to
+    w_{a+1}, so Wfact(w) = a!^size * (a+1)^remainder."""
     a, hi = divmod(mass, size)
-    return tuple((i, e) for i, e in ((a, size - hi), (a + 1, hi)) if e)
+    w = ((a, size - hi), (a + 1, hi)) if hi else ((a, size),)
+    return w, factorial(a) ** size * (a + 1) ** hi
 
 
 def _wfact(w: tuple[tuple[int, int], ...]) -> int:
@@ -239,19 +267,34 @@ def _wfact(w: tuple[tuple[int, int], ...]) -> int:
     return out
 
 
-def _standard_form(m: Monomial) -> tuple[Fraction, Monomial]:
-    """(rho, std) with m congruent to rho * std and std standard; see the
-    module docstring for the closed form."""
+def _standard_form(m: Monomial) -> tuple[int, int, Monomial]:
+    """(Wfact(std), Wfact(m), std) with m congruent to rho * std, rho the
+    ratio of the two integers, and std standard; see the module docstring
+    for the closed form."""
+    size = mass = 0
+    wfact_m = 1
+    for i, e in m.w:
+        size += e
+        mass += i * e
+        if i > 1:
+            wfact_m *= factorial(i) ** e
     pairs, z = divmod(m.z_exp, 2)
-    w = dict(m.w)
-    if pairs:
-        w[0] = w.get(0, 0) + pairs
-    size = m.w_size() + pairs
-    mass = m.w_mass()
+    size += pairs
     steps = min(m.x_exp + pairs, mass)
     x, y = m.x_exp + pairs - steps, m.y_exp + steps
-    std_w = _window(size, mass - steps) if y and size else tuple(sorted(w.items()))
-    return Fraction(_wfact(std_w), _wfact(m.w)), Monomial(z, x, y, std_w)
+    if y and size:
+        std_w, wfact_std = _window(size, mass - steps)
+        return wfact_std, wfact_m, _monomial(z, x, y, std_w)
+    # otherwise the w-part only gains the pairs as w0's: without y no step
+    # was taken, and without w-factors there is nothing to move.  0! = 1, so
+    # Wfact(std) = Wfact(m) and rho = 1
+    std_w = m.w
+    if pairs:
+        std_w = (
+            ((0, m.w[0][1] + pairs),) + m.w[1:] if m.w and m.w[0][0] == 0
+            else ((0, pairs),) + m.w
+        )
+    return wfact_m, wfact_m, _monomial(z, x, y, std_w)
 
 
 @lru_cache(maxsize=65536)
@@ -383,12 +426,18 @@ def normal_form(
 
 
 def nf(p: Polynomial) -> Polynomial:
-    """The normal form of p by the closed form; equals ``normal_form(p)[0]``."""
-    out = []
+    """The normal form of p by the closed form; equals ``normal_form(p)[0]``.
+    See the module docstring for the arithmetic."""
+    acc: dict[Monomial, Fraction] = {}
     for t in p.terms:
-        rho, std = _standard_form(t.monomial)
-        out.append((t.coefficient * rho, std))
-    return Polynomial.from_terms(out)
+        a, b, std = _standard_form(t.monomial)
+        c = t.coefficient
+        if a != b:
+            c = Fraction(c.numerator * a, c.denominator * b)
+        prev = acc.get(std)
+        acc[std] = c if prev is None else prev + c
+    ordered = sorted((m for m, c in acc.items() if c), key=_KEY, reverse=True)
+    return Polynomial(tuple(_term(acc[m], m) for m in ordered))
 
 
 def reduce_by_single(p: Polynomial, gid: GeneratorId) -> tuple[Polynomial, Polynomial]:

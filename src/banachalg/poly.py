@@ -25,6 +25,13 @@ results with the private ``_monomial``.  The certificate's rewrite chains
 do little else than build such monomials, so the checks would dominate
 their cost.
 
+Terms, like Monomials, are validated only at the public constructor
+``Term(c, m)``, which coerces c to ``Fraction`` and rejects 0.
+``Polynomial.from_terms`` coerces, merges and drops zeros before it builds
+any Term, and negatives, nonzero scalar multiples and products of nonzero
+Fractions are nonzero Fractions, so ``from_terms``, ``-p``, ``p * c``,
+``mul_term`` and ``ideal.nf`` build their Terms with the private ``_term``.
+
 A polynomial stores its terms sorted strictly decreasing in that order, so
 the leading term is ``terms[0]`` and printing is canonical.  The l1 norm
 (sum of absolute values of the coefficients) makes the completion of this
@@ -267,19 +274,59 @@ def compare(m1: Monomial, m2: Monomial) -> int:
     return 0
 
 
-@dataclass(frozen=True)
 class Term:
-    coefficient: Fraction
-    monomial: Monomial
+    """One nonzero term coefficient * monomial, an immutable value.
 
-    def __post_init__(self):
-        if not isinstance(self.coefficient, Fraction):
-            object.__setattr__(self, "coefficient", Fraction(self.coefficient))
-        if self.coefficient == 0:
+    The public constructor coerces the coefficient to ``Fraction`` and
+    rejects 0; ``Polynomial``'s own operations and ``ideal.nf`` build their
+    Terms with the private, unchecked ``_term`` (see the module docstring).
+    """
+
+    __slots__ = ("coefficient", "monomial")
+
+    def __init__(self, coefficient: Rational, monomial: Monomial):
+        if not isinstance(coefficient, Fraction):
+            coefficient = Fraction(coefficient)
+        if coefficient == 0:
             raise ValueError("zero coefficient in Term")
+        _set_coefficient(self, coefficient)
+        _set_monomial(self, monomial)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of Term")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of Term")
+
+    def __eq__(self, other):
+        if other.__class__ is not Term:
+            return NotImplemented
+        return self.coefficient == other.coefficient and self.monomial == other.monomial
+
+    def __hash__(self) -> int:
+        return hash((self.coefficient, self.monomial))
+
+    def __repr__(self) -> str:
+        return f"Term(coefficient={self.coefficient!r}, monomial={self.monomial!r})"
+
+    def __reduce__(self):
+        return Term, (self.coefficient, self.monomial)
 
     def __str__(self) -> str:
         return format_term(self.coefficient, self.monomial)
+
+
+_set_coefficient, _set_monomial = (
+    Term.__dict__[name].__set__ for name in Term.__slots__
+)
+
+
+def _term(c: Fraction, m: Monomial) -> Term:
+    """The unchecked constructor, for a nonzero Fraction ``c``."""
+    t = object.__new__(Term)
+    _set_coefficient(t, c)
+    _set_monomial(t, m)
+    return t
 
 
 @dataclass(frozen=True)
@@ -308,7 +355,7 @@ class Polynomial:
             key=lambda cm: cm[1].key,
             reverse=True,
         )
-        return Polynomial(tuple(Term(c, m) for c, m in ordered))
+        return Polynomial(tuple(_term(c, m) for c, m in ordered))
 
     @staticmethod
     def zero() -> Polynomial:
@@ -341,7 +388,7 @@ class Polynomial:
         )
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(tuple(Term(-t.coefficient, t.monomial) for t in self.terms))
+        return Polynomial(tuple(_term(-t.coefficient, t.monomial) for t in self.terms))
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
@@ -352,7 +399,7 @@ class Polynomial:
             if c == 0:
                 return Polynomial.zero()
             return Polynomial(
-                tuple(Term(t.coefficient * c, t.monomial) for t in self.terms)
+                tuple(_term(t.coefficient * c, t.monomial) for t in self.terms)
             )
         return Polynomial.from_terms(
             (s.coefficient * t.coefficient, s.monomial * t.monomial)
@@ -368,7 +415,7 @@ class Polynomial:
         if c == 0:
             return Polynomial.zero()
         return Polynomial(
-            tuple(Term(t.coefficient * c, t.monomial * m) for t in self.terms)
+            tuple(_term(t.coefficient * c, t.monomial * m) for t in self.terms)
         )
 
     def __str__(self) -> str:

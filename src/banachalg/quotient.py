@@ -111,8 +111,8 @@ def divide_by_x(g: RElement) -> Optional[RElement]:
         size = m.w_size()
         if m.y_exp >= 1 and size >= 1:
             mass = m.w_mass()
-            source = _window(size, mass + 1)
-            scalar = Fraction(_wfact(m.w), _wfact(source))
+            source, wfact_source = _window(size, mass + 1)
+            scalar = Fraction(_wfact(m.w), wfact_source)
             pulled = Monomial(m.z_exp, 0, m.y_exp - 1, source)
             parts.append((t.coefficient / scalar, pulled))
             continue

@@ -7,11 +7,13 @@ Everything is driven by an explicit random.Random so runs are reproducible.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import banachalg
 import banachalg.ideal as ideal
 from banachalg.ideal import F, is_standard_monomial
 from banachalg.poly import Monomial, Polynomial
@@ -104,3 +106,12 @@ def broken_f0(monkeypatch):
         return (lm, lc, lm, tc) if gid == F(0) else (lm, lc, tm, tc)
 
     monkeypatch.setattr("banachalg.ideal._rewrite_rule", broken)
+
+
+def subprocess_env() -> dict:
+    """The environment for a child interpreter that imports this checkout's
+    banachalg."""
+    src = os.path.dirname(os.path.dirname(banachalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -1,14 +1,14 @@
 """CLI behaviour: outputs, JSON schemas, exit codes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import banachalg
 from banachalg.cli import main
+
+from conftest import subprocess_env
 
 
 def run(capsys, *argv):
@@ -115,6 +115,20 @@ def test_groebner_verify_text(capsys):
     assert "identities hold" in out
 
 
+def test_groebner_verify_builds_only_the_printed_form(capsys, monkeypatch):
+    # the JSON rows of a large certificate cost more than printing the text
+    def refuse(*args, **kwargs):
+        raise AssertionError("unprinted form built")
+
+    monkeypatch.setattr("banachalg.ideal.CertificateReport.to_json", refuse)
+    code, out, _ = run(capsys, "groebner-verify", "--max-index", "3")
+    assert code == 0 and out.endswith("identities hold\n")
+    monkeypatch.undo()
+    monkeypatch.setattr("banachalg.ideal.CertificateReport.to_text", refuse)
+    code, data, _ = run_json(capsys, "groebner-verify", "--max-index", "3")
+    assert code == 0 and data["summary"]["all_passed"]
+
+
 # --- solve-series -------------------------------------------------------------
 
 
@@ -203,15 +217,8 @@ def test_byte_identical_reruns(capsys, argv):
 # --- closed stdout -------------------------------------------------------------
 
 
-def _subprocess_env():
-    src = os.path.dirname(os.path.dirname(banachalg.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 def test_closed_stdout_exits_141_quietly():
-    env = _subprocess_env()
+    env = subprocess_env()
     with subprocess.Popen(
         [sys.executable, "-m", "banachalg", "--json", "solve-series", "--order", "400"],
         stdout=subprocess.PIPE,
@@ -235,7 +242,7 @@ def test_nf_prints_scalars_beyond_the_int_str_digit_limit():
         [sys.executable, "-m", "banachalg", "nf", "y*w0*w15001"],
         capture_output=True,
         text=True,
-        env=_subprocess_env(),
+        env=subprocess_env(),
         timeout=120,
     )
     assert proc.returncode == 0

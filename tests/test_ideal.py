@@ -1,6 +1,10 @@
 """Generators, S-polynomials, standard monomials, normal forms, certificate."""
 
+import copy
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +32,7 @@ from banachalg.ideal import (
 from banachalg.poly import (
     Monomial,
     Polynomial,
+    Term,
     _rewrite_monomial,
     l1_norm,
     parse,
@@ -40,6 +45,7 @@ from conftest import (
     random_coefficient,
     random_monomial,
     random_polynomial,
+    subprocess_env,
 )
 
 
@@ -77,6 +83,49 @@ def test_generator_rejects_bad_ids():
         G(3, 2)
     with pytest.raises(ValueError):
         GeneratorId("F", -1)
+
+
+def _gid_fields(gid):
+    return (gid.kind, gid.a, gid.b)
+
+
+def test_generator_id_value_contract():
+    ids = [F(j) for j in range(7)] + [G(k, l) for k in range(6) for l in range(k + 1, 7)]
+    for g, h in zip(ids, ids[1:] + ids[:1]):
+        for a, b in ((g, g), (g, h)):
+            assert (a == b) == (_gid_fields(a) == _gid_fields(b))
+            assert (a < b) == (_gid_fields(a) < _gid_fields(b))
+            assert (a <= b) == (_gid_fields(a) <= _gid_fields(b))
+        assert hash(g) == hash(_gid_fields(g))
+        twin = GeneratorId(*_gid_fields(g))
+        assert twin == g and hash(twin) == hash(g)
+        for clone in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert clone == g and hash(clone) == hash(g)
+    assert sorted(reversed(ids)) == sorted(ids, key=_gid_fields)
+    assert repr(F(2)) == "GeneratorId(kind='F', a=2, b=-1)"
+    assert repr(G(1, 3)) == "GeneratorId(kind='G', a=1, b=3)"
+    assert (str(F(2)), str(G(1, 3))) == ("F2", "G1,3")
+    with pytest.raises(AttributeError):
+        F(2).a = 3
+
+
+def test_generator_id_unpickles_with_this_process_hash():
+    # str hashes are salted per process: an id pickled elsewhere must not
+    # carry that process's cached hash into this one
+    code = (
+        "import pickle, sys; from banachalg.ideal import F, G; "
+        "sys.stdout.write(pickle.dumps([F(3), G(1, 3)]).hex())"
+    )
+    env = subprocess_env()
+    env["PYTHONHASHSEED"] = "12345"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    f3, g13 = pickle.loads(bytes.fromhex(proc.stdout))
+    assert hash(f3) == hash(F(3)) and hash(g13) == hash(G(1, 3))
+    assert {F(3): 1, G(1, 3): 2}[g13] == 2
+    assert generator(g13) == generator(G(1, 3))
 
 
 def test_parse_generator_id():
@@ -394,6 +443,66 @@ def test_nf_and_project_do_not_use_the_rewriting_engine(monkeypatch):
     assert str(project(parse("y*w0*w2"))) == "(1/2)*y*w1^2"
 
 
+def _reference_nf(p):
+    """The route through rho as a Fraction, c * rho and from_terms."""
+    pairs = []
+    for t in p.terms:
+        a, b, std = _standard_form(t.monomial)
+        pairs.append((t.coefficient * Fraction(a, b), std))
+    return Polynomial.from_terms(pairs)
+
+
+def _nf_corpus(rng):
+    """Dense powers, ideal members that cancel to zero, y*w0*w_n."""
+    unit = parse("z + x + y + w0 + w1 + w2 + w3 + w5 + w8")
+    seeded = Polynomial.from_terms(
+        (random_coefficient(rng), t.monomial) for t in unit.terms
+    )
+    corpus = []
+    for base, power in ((unit, 5), (seeded, 4)):
+        p = Polynomial.constant(1)
+        for _ in range(power):
+            p = p * base
+        corpus.append(p)
+    members = [parse("x*w0 - z^2")]
+    gids = [F(j) for j in range(12)] + [G(k, l) for k in range(8) for l in range(k + 1, 9)]
+    for _ in range(60):
+        member = Polynomial.zero()
+        for gid in rng.sample(gids, rng.randint(1, 3)):
+            multiplier = random_monomial(rng, max_degree=3, max_windex=9)
+            member = member + generator(gid).mul_term(random_coefficient(rng), multiplier)
+        members.append(member)
+    corpus += members
+    corpus += [parse(f"y*w0*w{n}") for n in range(0, 2001, 7)] + [parse("y*w0*w2000")]
+    return corpus, members
+
+
+def test_nf_is_canonical_and_matches_the_fraction_route():
+    corpus, members = _nf_corpus(random.Random(909))
+    for p in corpus:
+        out = nf(p)
+        assert out == _reference_nf(p)
+        monomials = [t.monomial for t in out.terms]
+        assert all(a.key > b.key for a, b in zip(monomials, monomials[1:]))
+        for t in out.terms:
+            assert type(t) is Term and type(t.coefficient) is Fraction
+            assert t.coefficient != 0
+            assert is_standard_monomial(t.monomial)
+    assert all(nf(p).is_zero() for p in members)
+    assert sum(not p.is_zero() for p in members) > 50
+
+
+def test_nf_goes_through_the_closed_form(monkeypatch):
+    # keeps test_certificate_does_not_use_the_closed_form from passing
+    # vacuously: patching _standard_form does reach nf
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed form called")
+
+    monkeypatch.setattr("banachalg.ideal._standard_form", refuse)
+    with pytest.raises(AssertionError, match="closed form called"):
+        nf(parse("x*w1"))
+
+
 def test_certificate_does_not_use_the_closed_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("closed form called")
@@ -453,11 +562,12 @@ def test_orbits_are_finite_and_homogeneous(text):
     assert {mono.degree for mono in orbit} == {start.degree}
     # one standard monomial per orbit, reached with 0 < rho <= 1: the facts
     # behind the exact quotient norm (see the quotient module docstring)
-    forms = [_standard_form(mono) for mono in orbit]
+    forms = [(Fraction(a, b), s) for a, b, s in map(_standard_form, orbit)]
     (std,) = {s for _, s in forms}
     assert std in orbit
     assert all(0 < rho <= 1 for rho, _ in forms)
-    assert _standard_form(std) == (1, std)
+    a, b, s = _standard_form(std)
+    assert (Fraction(a, b), s) == (1, std)
 
 
 # --- certificate ------------------------------------------------------------

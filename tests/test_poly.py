@@ -13,6 +13,7 @@ from banachalg.poly import (
     Monomial,
     ParseError,
     Polynomial,
+    Term,
     compare,
     l1_norm,
     parse,
@@ -333,3 +334,71 @@ def test_monomial_rejects_unsorted_or_repeated_w_indices(w):
     # second term, and y*w3*w0 would escape is_standard_monomial
     with pytest.raises(ValueError, match="strictly ascend"):
         Monomial(0, 0, 1, w)
+
+
+# --- Term as a value type ---------------------------------------------------
+
+
+def assert_term_contract(a, b):
+    pair = (a.coefficient, a.monomial)
+    assert (a == b) == (pair == (b.coefficient, b.monomial))
+    assert (a != b) == (pair != (b.coefficient, b.monomial))
+    assert hash(a) == hash(pair)
+    twin = Term(*pair)
+    assert twin == a and hash(twin) == hash(a)
+    assert a != pair
+    assert repr(a) == f"Term(coefficient={a.coefficient!r}, monomial={a.monomial!r})"
+    for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert clone == a and hash(clone) == hash(a)
+        assert type(clone.coefficient) is Fraction
+
+
+def test_term_value_contract_seeded():
+    rng = random.Random(12)
+    corpus = [t for _ in range(120) for t in random_polynomial(rng).terms]
+    corpus += parse("x*w0 - z^2").terms + parse("(1/2)*y*w1^2 - 3").terms
+    for a, b in zip(corpus, corpus[1:] + corpus[:1]):
+        assert_term_contract(a, b)
+    assert repr(parse("-(1/2)*y*w3").terms[0]) == (
+        "Term(coefficient=Fraction(-1, 2), "
+        "monomial=Monomial(z_exp=0, x_exp=0, y_exp=1, w=((3, 1),)))"
+    )
+
+
+@given(poly_strategy)
+def test_term_value_contract_hypothesis(p):
+    for a, b in zip(p.terms, p.terms[::-1]):
+        assert_term_contract(a, b)
+
+
+def test_term_constructor_coerces_and_rejects_zero():
+    mono = m("x*w2")
+    t = Term(3, mono)
+    assert type(t.coefficient) is Fraction and t.coefficient == 3
+    assert t == Term(Fraction(3), mono) and str(t) == "3*x*w2"
+    assert Term(coefficient=Fraction(-1, 2), monomial=mono).coefficient == Fraction(-1, 2)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError, match="zero coefficient"):
+            Term(zero, mono)
+
+
+def test_term_is_read_only():
+    t = parse("2*x*w2").terms[0]
+    for name in ("coefficient", "monomial", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert (t.coefficient, t.monomial) == (Fraction(2), m("x*w2"))
+
+
+def test_polynomial_operations_keep_nonzero_fraction_terms():
+    p = parse("2*x*w2 - (1/3)*y + z^2")
+    for q in (-p, p * 3, 3 * p, p.mul_term(Fraction(-1, 4), m("w1")), p * p, p + p):
+        assert all(
+            type(t) is Term and type(t.coefficient) is Fraction and t.coefficient != 0
+            for t in q.terms
+        )
+    assert -p == Polynomial.from_terms((-t.coefficient, t.monomial) for t in p.terms)
+    assert p.mul_term(2, m("w1")) == p * parse("2*w1")
+    assert (p * 0).is_zero() and p.mul_term(0, m("w1")).is_zero()

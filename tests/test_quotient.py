@@ -260,7 +260,7 @@ def test_criterion_4_discrepancies_lie_in_the_kernel_of_x():
         assert nf(X * d).is_zero()
         groups: dict[Monomial, Fraction] = {}
         for t in d.terms:
-            _, std = _standard_form(t.monomial * x_mono)
+            _, _, std = _standard_form(t.monomial * x_mono)
             share = t.coefficient / _wfact(t.monomial.w)
             groups[std] = groups.get(std, Fraction(0)) + share
         assert all(total == 0 for total in groups.values())

@@ -80,16 +80,18 @@ def test_every_formal_solution_has_k_factorial_wk():
     # the finite step of the proof in the series docstring: x^(k+1)*f_k =
     # y^k*z^2 pins the degree-1 part of any solution f_k to k!*w_k
     for k in range(41):
-        rho, target = _standard_form(Monomial.build(y=k, z=2))
+        a, b, target = _standard_form(Monomial.build(y=k, z=2))
+        rho = Fraction(a, b)
         degree_one = [Monomial.build(x=1), Monomial.build(y=1), Monomial.build(z=1)]
         degree_one += [Monomial.build(w={i: 1}) for i in range(k + 40)]
         hits = [
             mono
             for mono in degree_one
-            if _standard_form(Monomial.build(x=k + 1) * mono)[1] == target
+            if _standard_form(Monomial.build(x=k + 1) * mono)[2] == target
         ]
         assert hits == [Monomial.build(w={k: 1})]
-        rho_k, _ = _standard_form(Monomial.build(x=k + 1, w={k: 1}))
+        a, b, _ = _standard_form(Monomial.build(x=k + 1, w={k: 1}))
+        rho_k = Fraction(a, b)
         assert rho / rho_k == math.factorial(k)
 
 
