@@ -70,9 +70,20 @@ class RElement:
 R_ZERO = RElement(Polynomial.zero())
 
 
+def _r_element(p: Polynomial) -> RElement:
+    """The unchecked constructor, for a polynomial standard by construction."""
+    r = object.__new__(RElement)
+    object.__setattr__(r, "poly", p)
+    return r
+
+
 def project(p: Polynomial) -> RElement:
-    """The class of p, i.e. the wrapper around its normal form."""
-    return RElement(nf(p))
+    """The class of p, i.e. the wrapper around its normal form.
+
+    ``nf`` returns a normal form, so the result skips the ``is_standard``
+    check that the public ``RElement(...)`` runs.
+    """
+    return _r_element(nf(p))
 
 
 def equal_mod_I(p: Polynomial, q: Polynomial) -> bool:

@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, JSON schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -177,6 +178,27 @@ def test_strong_artin_family2(capsys):
     code, data, _ = run_json(capsys, "strong-artin", "--example", "2", "--c-max", "5")
     assert code == 0
     assert all(r["order"] >= r["bound"] for r in data["results"])
+
+
+# sha256 of strong-artin stdout at --c-max 30 as printed from the
+# two-variable BRhoSeries product; the one-variable residual must match it
+STRONG_ARTIN_DIGESTS = {
+    ("--json", "1"): "7e4ac1a3b27b3b3723747a3306701560ac80a7e7cb0477c695af3b8386fffafa",
+    ("--json", "2"): "3b24dc0f6aa674a3136c40579dbf577b3b5ef44fea9e8926b7a2cbde4006968d",
+    ("text", "1"): "f50682a161547ad1dda6e383ad8c4d89856c2895f2cad23195504e7d2f96e136",
+    ("text", "2"): "68cdffa65cc7f49580d9e93e1df9ac66e9d3779626330fa86712fc2d9dc8cd88",
+}
+
+
+@pytest.mark.parametrize("mode, example", sorted(STRONG_ARTIN_DIGESTS))
+def test_strong_artin_stdout_is_pinned(capsys, mode, example):
+    flags = ["--json"] if mode == "--json" else []
+    code, out, _ = run(
+        capsys, *flags, "strong-artin", "--example", example, "--c-max", "30"
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == STRONG_ARTIN_DIGESTS[mode, example]
 
 
 def test_remark(capsys):

@@ -19,6 +19,7 @@ from banachalg.ideal import (
     _standard_form,
     _wfact,
     generator,
+    is_standard,
     is_standard_monomial,
     nf,
 )
@@ -54,6 +55,35 @@ def test_project_examples():
 def test_relement_requires_normal_form():
     with pytest.raises(ValueError):
         RElement(parse("z^2"))
+
+
+def test_project_is_standard_without_the_check(monkeypatch):
+    rng = random.Random(43)
+    corpus = [random_polynomial(rng) for _ in range(150)]
+    results = [project(p) for p in corpus]
+    for p, r in zip(corpus, results):
+        assert is_standard(r.poly)
+        assert r == RElement(nf(p))
+    pairs = [(results[i], results[i + 1]) for i in range(0, 40, 2)]
+    products = [r_mul(a, b) for a, b in pairs]
+    assert all(is_standard(r.poly) for r in products)
+
+    # project and r_mul skip the check; the public constructor keeps it
+    def refuse(p):
+        raise AssertionError("is_standard on the project path")
+
+    monkeypatch.setattr("banachalg.quotient.is_standard", refuse)
+    assert [project(p) for p in corpus] == results
+    assert [r_mul(a, b) for a, b in pairs] == products
+    with pytest.raises(AssertionError):
+        RElement(results[0].poly)
+    with pytest.raises(AssertionError):
+        divide_by_x(project(parse("x*w0")))
+
+    monkeypatch.undo()
+    for text in ("x*w1", "y*w0*w2", "w0*w2 + z^3", "x*y*w0*w3"):
+        with pytest.raises(ValueError):
+            RElement(parse(text))
 
 
 def test_project_identifies_congruent_polynomials():
