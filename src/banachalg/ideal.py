@@ -14,24 +14,64 @@ leading monomials are z^2, x*w_{k+1} and y*w_k*w_{l+1}, so a monomial is
 unique normal form supported on standard monomials.
 
 Because the basis is binomial, every monomial m reduces to a single term
-rho(m) * std(m) (Eisenbud & Sturmfels, "Binomial ideals", 1996), and here
-that term has a closed form:
+rho(m) * std(m) (Eisenbud & Sturmfels, "Binomial ideals", 1996), and one
+invariant names std(m).  Let p = z // 2, size the number of w-factors and
+mass the sum of their indices, both counted with multiplicity, and
 
-  * each pair z^2 becomes x*w0;
-  * each x lowers the w-mass (sum of w-indices) by one and becomes a y, for
-    min(#x, mass) steps;
-  * with a y present, the w-part becomes the window: the unique w-monomial
-    of the same size and mass supported on some {a, a+1};
+    I(m) = (z mod 2,  s = x + y + p,  n = size + p,  d = mass + y).
+
+Then std(m) is the standard monomial of the class I(m):
+
+  * if s = 0, no rule applies to m (z < 2, no x, no y) and std(m) = m;
+  * if d < s, std(m) = z^(z mod 2) * x^(s-d) * y^d * w0^n;
+  * if d >= s, std(m) = z^(z mod 2) * y^s * the window of size n and mass
+    d - s: the unique w-monomial of that size and mass supported on some
+    {a, a+1};
   * rho(m) = Wfact(std(m)) / Wfact(m), with Wfact = prod(index!^exp).
+
+``_class_monomial`` is the one place that picks a class's monomial;
+``_standard_form`` and ``quotient.divide_by_x`` both go through it.
 
 Each rewrite step lead -> scalar * tail scales the coefficient by exactly
 Wfact(tail) / Wfact(lead), a factor in (0, 1], so the scalars multiply up
 to rho and 0 < rho <= 1.  ``nf`` evaluates this closed form term by term in
-integer arithmetic: ``_standard_form`` returns Wfact(std) and Wfact(m) as
-integers, and a term c*m becomes one reduced fraction
-c.numerator * Wfact(std) / (c.denominator * Wfact(m)), none when rho = 1.
+integer arithmetic: ``_standard_form`` returns rho as two integers, and a
+term c*m becomes one reduced fraction c.numerator * a / (c.denominator * b),
+none when rho = 1.  A term with s = 0 costs no factorial at all, and
+otherwise one pass over its w-part yields size, mass and Wfact(m).
 Fractions are added only where terms share std, and the sorted result
 becomes a Polynomial without a second pass through ``from_terms``.
+
+A Gröbner basis at every index.  The certificate below checks w-indices up
+to its ``max_index``; the proof here covers all of them, and so covers
+``nf`` at any index.
+
+  * Every rule preserves I.  F0 turns z^2 into x*w0: p drops by one, x and
+    size rise by one, z mod 2 and the mass stay.  F_j turns x*w_j into
+    y*w_{j-1}: x falls and y rises by one, and the mass drops by one.
+    G_{k,l} keeps x, y, z, size and mass.  In each case s, n and d stay.
+  * A class with s >= 1 holds exactly one standard monomial.  A standard
+    monomial has z < 2, so p = 0, x + y = s, size = n and mass + y = d.  If
+    x >= 1, no w-index is >= 1, so mass = 0, y = d and x = s - d >= 1, which
+    needs d < s.  If x = 0, then y = s >= 1, and the w-part has at most two
+    indices, at distance 1: it is the window of size n and mass d - s,
+    which needs d >= s.  Either way I fixes every exponent, and the
+    monomial listed above is standard and has invariant I.  (For s = 0 this
+    fails: w0*w3 and w1*w2 share I and are both standard.)
+  * Rewriting terminates: each step lowers phi (below), and phi >= 0.  So
+    every chain of rewrite steps from m, by whatever rules, ends at a
+    standard monomial of class I(m), and for s >= 1 that is std(m).
+  * Every leading monomial contains z^2, x or y, so every lcm of two
+    leading monomials has s >= 1.  In the u-coordinates below the
+    S-polynomial of two generators is K * (U(m1) - U(m2)) with m1 and m2
+    one step from the lcm, so I(m1) = I(m2) and both chains end at the same
+    monomial: the S-polynomial reduces to 0, at every index, and the
+    chains raise no w-index.  By Buchberger's criterion the generators
+    with w-indices <= N form a Gröbner basis of the ideal they generate in
+    the variables x, y, z, w0 .. wN, for every N.  Any element of the ideal
+    is a combination of finitely many generators, so its leading monomial
+    is divisible by a leading monomial of F or G: the two families form a
+    Gröbner basis, and nf is the normal form for it.
 
 The rewriting engine ``normal_form`` reaches the same result step by step.
 Reduction replaces a term c*m by c'*m' with m' < m, |c'| <= |c| and the same
@@ -47,19 +87,22 @@ at least one input term one edge along its own path, so no reduction of p
 takes more than ``_step_bound(p)``, the sum of phi over its terms.  Beyond
 it ``ReductionLimitError`` signals a broken rewrite rule.
 
-``groebner_certificate`` must certify the basis by reduction, not through
-the closed form whose correctness rests on that basis.  It uses neither
-``nf`` nor ``normal_form`` for the S-polynomials of phase (iv).  Instead it
-substitutes w_i = u_i / i!.  Each generator lc*lm + tc*tm satisfies the
-*rescaling lemma* lc/Wfact(lm) == -tc/Wfact(tm) =: kappa, which the
-certificate checks, so the generator equals kappa * (U(lm) - U(tm)) with
-U(m) = Wfact(m)*m the monomial m in the u-coordinates.  The ideal is then a
-pure difference binomial ideal (Eisenbud & Sturmfels), and the S-polynomial
-of two generators is K * (U(m1) - U(m2)) for two monomials m1, m2 and one
-scalar K.  A rewrite step m -> (m/lm)*tm changes U(m) by a multiple of a
+``groebner_certificate`` checks the basis by computation, independently of
+the proof above and of the closed form that rests on it.  It uses neither
+``nf`` nor ``normal_form`` for the S-polynomials of phase (iv), and it
+compares no invariants.  Instead it substitutes w_i = u_i / i!.  Each
+generator lc*lm + tc*tm satisfies the *rescaling lemma* lc/Wfact(lm) ==
+-tc/Wfact(tm) =: kappa (F_j: -j/j! = -1/(j-1)!; G_{k,l}: (l+1)/(k!(l+1)!) =
+(k+1)/(l!(k+1)!); F0: -1 = -1), which the certificate checks, so the
+generator equals kappa * (U(lm) - U(tm)) with U(m) = Wfact(m)*m the
+monomial m in the u-coordinates.  The ideal is then a pure difference
+binomial ideal (Eisenbud & Sturmfels), and the S-polynomial of two
+generators is K * (U(m1) - U(m2)) for two monomials m1, m2 and one scalar
+K.  A rewrite step m -> (m/lm)*tm changes U(m) by a multiple of a
 generator, with no scalar to track, and lowers m.  So the S-polynomial
 reduces to 0 when the rewrite chains of m1 and m2 end in the same monomial
-(Buchberger's criterion).  Chain ends are memoised within one call.
+(Buchberger's criterion); the certificate follows both chains step by step.
+Chain ends are memoised within one call.
 
 S-polynomials use the fraction-free convention
 
@@ -139,15 +182,17 @@ def G(k: int, l: int) -> GeneratorId:
 
 
 def parse_generator_id(text: str) -> GeneratorId:
+    """F<j> or G<k>,<l>, case-insensitive.  Text of another shape raises
+    "cannot parse"; a well-shaped id out of range raises the constructor's
+    own error."""
     text = text.strip()
+    kind = text[:1].upper()
     try:
-        if text[:1] in ("F", "f"):
-            return F(int(text[1:]))
-        if text[:1] in ("G", "g"):
-            k, l = text[1:].split(",")
-            return G(int(k), int(l))
-    except (ValueError, IndexError):
-        pass
+        args = tuple(map(int, text[1:].split(",")))
+    except ValueError:
+        args = ()
+    if (kind, len(args)) in (("F", 1), ("G", 2)):
+        return GeneratorId(kind, *args)
     raise ValueError(f"cannot parse generator id {text!r} (expected F<j> or G<k>,<l>)")
 
 
@@ -250,15 +295,6 @@ def is_standard(p: Polynomial) -> bool:
     return all(is_standard_monomial(t.monomial) for t in p.terms)
 
 
-def _window(size: int, mass: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """(w, Wfact(w)) for the w-part w of the given size and mass supported on
-    some {a, a+1}: mass // size copies of w_a, the remainder shifted up to
-    w_{a+1}, so Wfact(w) = a!^size * (a+1)^remainder."""
-    a, hi = divmod(mass, size)
-    w = ((a, size - hi), (a + 1, hi)) if hi else ((a, size),)
-    return w, factorial(a) ** size * (a + 1) ** hi
-
-
 def _wfact(w: tuple[tuple[int, int], ...]) -> int:
     """Wfact of a w-part: the product of index!^exp."""
     out = 1
@@ -267,34 +303,42 @@ def _wfact(w: tuple[tuple[int, int], ...]) -> int:
     return out
 
 
-def _standard_form(m: Monomial) -> tuple[int, int, Monomial]:
-    """(Wfact(std), Wfact(m), std) with m congruent to rho * std, rho the
-    ratio of the two integers, and std standard; see the module docstring
-    for the closed form."""
+def _invariant(m: Monomial) -> tuple[tuple[int, int, int, int], int]:
+    """(I(m), Wfact(m)) in one pass over the w-part; see the module
+    docstring for I."""
     size = mass = 0
-    wfact_m = 1
+    wfact = 1
     for i, e in m.w:
         size += e
         mass += i * e
         if i > 1:
-            wfact_m *= factorial(i) ** e
+            wfact *= factorial(i) ** e
     pairs, z = divmod(m.z_exp, 2)
-    size += pairs
-    steps = min(m.x_exp + pairs, mass)
-    x, y = m.x_exp + pairs - steps, m.y_exp + steps
-    if y and size:
-        std_w, wfact_std = _window(size, mass - steps)
-        return wfact_std, wfact_m, _monomial(z, x, y, std_w)
-    # otherwise the w-part only gains the pairs as w0's: without y no step
-    # was taken, and without w-factors there is nothing to move.  0! = 1, so
-    # Wfact(std) = Wfact(m) and rho = 1
-    std_w = m.w
-    if pairs:
-        std_w = (
-            ((0, m.w[0][1] + pairs),) + m.w[1:] if m.w and m.w[0][0] == 0
-            else ((0, pairs),) + m.w
-        )
-    return wfact_m, wfact_m, _monomial(z, x, y, std_w)
+    return (z, m.x_exp + m.y_exp + pairs, size + pairs, mass + m.y_exp), wfact
+
+
+def _class_monomial(z: int, s: int, n: int, d: int) -> tuple[Optional[Monomial], int]:
+    """(std, Wfact(std)) for the class I = (z, s, n, d), or (None, 0) when no
+    monomial has that invariant.  For s >= 1, std is the class's one
+    standard monomial; for s = 0, the window-shaped one of several."""
+    if s < 0 or (d > s and not n):
+        return None, 0
+    if d < s or not n:  # x^(s-d) * y^d * w0^n, which is y^s when n = 0
+        return _monomial(z, s - d, d, ((0, n),) if n else ()), 1
+    # the window: (d - s) // n copies of w_a, the remainder shifted up to w_{a+1}
+    a, hi = divmod(d - s, n)
+    w = ((a, n - hi), (a + 1, hi)) if hi else ((a, n),)
+    return _monomial(z, 0, s, w), factorial(a) ** n * (a + 1) ** hi
+
+
+def _standard_form(m: Monomial) -> tuple[int, int, Monomial]:
+    """(a, b, std) with m congruent to (a/b) * std and std standard: std is
+    the standard monomial of class I(m), and a/b = rho(m)."""
+    if not (m.x_exp or m.y_exp or m.z_exp > 1):
+        return 1, 1, m  # s = 0: no rule applies, and no factorial is needed
+    inv, wfact_m = _invariant(m)
+    std, wfact_std = _class_monomial(*inv)
+    return wfact_std, wfact_m, std
 
 
 @lru_cache(maxsize=65536)

@@ -11,14 +11,14 @@ monomial m maps to rho(m) * std(m) with 0 < rho <= 1 (see ``ideal``), so:
     it extends to the completion and vanishes on the closure of the ideal;
     passing to the closure therefore cannot lower the distance.
 
-``divide_by_x`` inverts multiplication by x on normal forms.  A standard
-monomial times x is either a standard monomial that still contains x or,
-when it is x-free and touches some w_i with i >= 1, has the normal form
-
-    r * z^eps * y^(b+1) * window(size s, mass one lower)
-
-by the closed form in ``ideal``, with r the ratio of the Wfact values.
-Inverting is therefore term-by-term arithmetic on (size, mass) data.
+``divide_by_x`` inverts multiplication by x on normal forms through the
+class invariant I of ``ideal``.  Multiplying by x adds I(x) = (0, 1, 0, 0),
+which raises s by one, and a class with s >= 1 holds exactly one standard
+monomial.  So x*h has a term on the standard monomial m only if some
+monomial of h lies in the class I(m) - I(x).  When that class holds a
+monomial m', then x*m' = (Wfact(m) / Wfact(m')) * m in the quotient, and
+(Wfact(m') / Wfact(m)) * m' pulls m back; when it holds none, no quotient
+exists.
 
 Caveat, checked by the test suite: multiplication by x is *not* injective on
 the quotient.  For example x*(3*w0*w3 - w1*w2) = w2*F1 - w0*F3 lies in the
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .ideal import _wfact, _window, is_standard, nf
+from .ideal import _class_monomial, _invariant, is_standard, nf
 from .poly import Monomial, Polynomial, l1_norm, to_str
 
 
@@ -103,29 +103,19 @@ def r_mul(a: RElement, b: RElement) -> RElement:
 def divide_by_x(g: RElement) -> Optional[RElement]:
     """Return h with project(x) * h == g, or None when no such h exists.
 
-    Works term by term on the normal form of g:
-      * a term with an x pulls back by dividing one x out;
-      * an x-free term with y and at least one w-factor pulls back to
-        z^eps * y^(b-1) * window(size, mass+1), rescaled by the Wfact ratio;
-      * any other term (pure powers of y, or monomials free of x and y that
-        still contain w or z only) certifies that no quotient exists.
+    Term by term on the normal form of g: c*m pulls back to
+    c * (Wfact(m') / Wfact(m)) * m', with m' the member of the class
+    I(m) - I(x) that ``ideal`` picks, and a class that holds no monomial
+    certifies that no quotient exists (see the module docstring).
 
     When several preimages exist (see the module caveat) the window-shaped
     one is returned; x * result == g holds in the quotient in every case.
     """
     parts: list[tuple[Fraction, Monomial]] = []
     for t in g.poly.terms:
-        m = t.monomial
-        if m.x_exp >= 1:
-            parts.append((t.coefficient, m / Monomial.build(x=1)))
-            continue
-        size = m.w_size()
-        if m.y_exp >= 1 and size >= 1:
-            mass = m.w_mass()
-            source, wfact_source = _window(size, mass + 1)
-            scalar = Fraction(_wfact(m.w), wfact_source)
-            pulled = Monomial(m.z_exp, 0, m.y_exp - 1, source)
-            parts.append((t.coefficient / scalar, pulled))
-            continue
-        return None
+        (z, s, n, d), wfact = _invariant(t.monomial)
+        source, wfact_source = _class_monomial(z, s - 1, n, d)  # I(m) - I(x)
+        if source is None:
+            return None
+        parts.append((t.coefficient * Fraction(wfact_source, wfact), source))
     return RElement(Polynomial.from_terms(parts))

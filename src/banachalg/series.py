@@ -31,7 +31,42 @@ and the argument must cover all of them.  Let f be any formal solution.
     solution, and no solution converges on a disc of positive radius.
 
 The tests check the third step for every k <= 40 with w-indices up to
-k+39.  The argument does not use integrality.
+k+39; for every other k it rests on the proof in ``ideal`` that the basis,
+and so std, is right at every w-index.  The argument does not use
+integrality.
+
+Non-flatness: R[[t]] is not flat over R{t}.  Here R is the completion of
+the quotient, the Banach algebra the paper means, R[[t]] its formal power
+series and R{t} the convergent ones, sum a_k t^k with
+sum ||a_k|| r^k < infinity for some r > 0.
+
+  * Completion step.  nf is l1-contractive (each rewrite step scales a
+    coefficient by a factor in (0, 1]; see ``ideal``), and so is the
+    projection onto one total degree.  Both extend to the completion, nf
+    vanishes on the closure of the ideal, and the norm of R is the l1 norm
+    of nf (``quotient``).  The ideal is homogeneous, so on R the degree-d
+    projection is contractive and commutes with multiplication by x^(k+1)
+    up to the shift of degree.  Let f solve the equation over R and let g
+    be the degree-1 part of f_k, an l1-summable combination of x, y, z and
+    the w_i.  Then x^(k+1) * g = y^k * z^2 in R.  By the third step above,
+    and by continuity of nf, the coefficient of x*y^k*w0 in
+    nf(x^(k+1) * g) is g's coefficient of w_k divided by k!, since only w_k
+    reaches x*y^k*w0; in nf(y^k * z^2) = x*y^k*w0 it is 1.  So
+    ||f_k|| >= ||g|| >= k! in R as well: no solution lies in R{t}.
+  * Flatness step, by the equational criterion (Matsumura, "Commutative
+    Ring Theory", Thm 7.6).  Let a = x - y*t and b = z^2 in R{t}, and let
+    f in R[[t]] be a formal solution, so a*f - b*1 = 0.  If R[[t]] were
+    flat over R{t}, then f = sum_i h_i f_i and 1 = sum_i h_i g_i with h_i
+    in R[[t]] and pairs (f_i, g_i) in R{t} with a*f_i = b*g_i.  Constant
+    terms give g(0) = 1 for g = sum_i h_i(0) g_i, which lies in R{t}.  So
+    g = 1 - u with u(0) = 0, and ||u||_r < 1 on a small enough radius r,
+    where the Neumann series makes g a unit of R{t}.  Then
+    F = g^(-1) * sum_i h_i(0) f_i lies in R{t} and a*F = g^(-1) * b * g = b:
+    a convergent solution, which the completion step rules out.
+
+The tests check the facts this uses that code can check on a seeded
+corpus: nf does not raise the l1 norm, and the norm of a class is the sum
+of the norms of its homogeneous parts.
 """
 
 from __future__ import annotations

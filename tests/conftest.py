@@ -7,6 +7,7 @@ Everything is driven by an explicit random.Random so runs are reproducible.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -79,6 +80,19 @@ def random_standard_polynomial(
         (random_coefficient(rng), random_standard_monomial(rng, max_degree, max_windex))
         for _ in range(n)
     )
+
+
+def monomial_box(max_degree: int, max_windex: int) -> list[Monomial]:
+    """Every monomial of total degree <= max_degree in z, x, y and
+    w0 .. w_{max_windex}."""
+    nvars = 3 + max_windex + 1
+    out = []
+    for degree in range(max_degree + 1):
+        for combo in itertools.combinations_with_replacement(range(nvars), degree):
+            e = [combo.count(v) for v in range(nvars)]
+            w = {i: e[3 + i] for i in range(max_windex + 1)}
+            out.append(Monomial.build(z=e[0], x=e[1], y=e[2], w=w))
+    return out
 
 
 def nonzero_random_polynomial(rng: random.Random, **kw) -> Polynomial:

@@ -68,6 +68,16 @@ def test_spoly_bad_id(capsys):
     assert "cannot parse" in err
 
 
+@pytest.mark.parametrize("bad", ["G1,1", "G2,1", "F-1"])
+def test_spoly_id_out_of_range(capsys, bad):
+    # the id has the right shape, so the error names the range, not the syntax
+    code, out, err = run(capsys, "spoly", bad, "F1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "cannot parse" not in err
+    assert "G requires 0 <= k < l" in err or "invalid F index" in err
+
+
 def test_divide_x(capsys):
     code, out, _ = run(capsys, "divide-x", "z^2")
     assert code == 0 and out.strip() == "w0"
@@ -199,6 +209,44 @@ def test_strong_artin_stdout_is_pinned(capsys, mode, example):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == STRONG_ARTIN_DIGESTS[mode, example]
+
+
+# sha256 of stdout, all runs of a command concatenated, as printed before
+# nf and divide-x picked class monomials through the invariant I
+NF_INPUTS = [
+    "y*w1^2", "x*w0*w3 + z^2*w1", "y*w0*w2000", "z^2*w1", "7", "0", "z*w3*w9",
+    "x^3*w2*w5 - (1/3)*y^2*w0*w7", "z^5*w4 + x*y*w3^2", "x*y*z^3*w0*w1*w6",
+    "y*w0*w3 - (2/5)*x*w1*w2 + z^2", "w7",
+]
+DIVIDE_INPUTS = [
+    "z^2", "y*w0", "y", "x*w0 + w2", "y*w1^2", "x*y^2*w0^2", "z*y^3*w2*w3",
+    "3*w0*w3 - w1*w2", "x*w0*w3 + z^2*w1", "0", "z", "(1/2)*x^2*z + y^2*w0*w5",
+]
+PINNED_RUNS = {
+    "nf": [["nf", e] for e in NF_INPUTS],
+    "divide-x": [["divide-x", e] for e in DIVIDE_INPUTS],
+    "solve-series": [["solve-series", "--order", "12"]],
+}
+PINNED_DIGESTS = {
+    ("text", "nf"): "4aa58bac577687e70375f56166dcf020f024c4410f2663e89f392947e2305d7c",
+    ("text", "divide-x"): "b0e3ca20671bf8f869ee5785f13c78c5db6d0d0d7e9610941128d66389496b7a",
+    ("text", "solve-series"): "d0a46902c8283fb524717f23bd8ba659c3e47e0698b0181522bf2fd95c07f48e",
+    ("--json", "nf"): "2ad23611d19555cfb1df22c6ffaf2260fe40793974f70071b7703b1d0ee79e05",
+    ("--json", "divide-x"): "a14183e7bd9e256543d4c5a477bd80f2d4d5d77594197e279c6a545cacaa0899",
+    ("--json", "solve-series"): "9b79eec2ed28017a4b6e14f91e852ca3142fa3b7b9494403bffa41a395295cb3",
+}
+
+
+@pytest.mark.parametrize("mode, command", sorted(PINNED_DIGESTS))
+def test_class_monomial_stdout_is_pinned(capsys, mode, command):
+    flags = ["--json"] if mode == "--json" else []
+    out = ""
+    for argv in PINNED_RUNS[command]:
+        code, chunk, _ = run(capsys, *flags, *argv)
+        assert code == 0
+        out += chunk
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PINNED_DIGESTS[mode, command]
 
 
 def test_remark(capsys):

@@ -41,6 +41,7 @@ from banachalg.poly import (
 from banachalg.quotient import project
 
 from conftest import (
+    monomial_box,
     nonzero_random_polynomial,
     random_coefficient,
     random_monomial,
@@ -135,6 +136,14 @@ def test_parse_generator_id():
         parse_generator_id("H1")
     with pytest.raises(ValueError):
         parse_generator_id("G2")
+    # a well-shaped id out of range keeps the constructor's own message
+    for text, message in (
+        ("G1,1", "G requires 0 <= k < l"),
+        ("G2,1", "G requires 0 <= k < l"),
+        ("F-1", "invalid F index"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            parse_generator_id(text)
 
 
 # --- leading terms ----------------------------------------------------------
@@ -503,6 +512,21 @@ def test_nf_goes_through_the_closed_form(monkeypatch):
         nf(parse("x*w1"))
 
 
+def test_nf_computes_no_factorial_when_no_rule_applies(monkeypatch):
+    # s = 0 (no x, no y, z < 2): the monomial is its own normal form, so
+    # w300000 must not cost 300000!
+    def refuse(*args):
+        raise AssertionError("factorial called")
+
+    monkeypatch.setattr("banachalg.ideal.factorial", refuse)
+    for text in ("w300000", "z*w3*w9", "7"):
+        p = parse(text)
+        assert nf(p) == p
+        assert project(p).poly == p
+    with pytest.raises(AssertionError, match="factorial called"):
+        nf(parse("y*w0*w2"))
+
+
 def test_certificate_does_not_use_the_closed_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("closed form called")
@@ -568,6 +592,57 @@ def test_orbits_are_finite_and_homogeneous(text):
     assert all(0 < rho <= 1 for rho, _ in forms)
     a, b, s = _standard_form(std)
     assert (Fraction(a, b), s) == (1, std)
+
+
+# --- the class invariant on a finite box -------------------------------------
+
+
+def _invariant(mono):
+    """I(m) = (z mod 2, x + y + z//2, size + z//2, mass + y) as the module
+    docstring defines it, computed here without ``ideal``."""
+    p = mono.z_exp // 2
+    return (
+        mono.z_exp % 2,
+        mono.x_exp + mono.y_exp + p,
+        mono.w_size() + p,
+        mono.w_mass() + mono.y_exp,
+    )
+
+
+@pytest.fixture(scope="module")
+def box():
+    """Every monomial of degree <= 6 with w-indices <= 7."""
+    return monomial_box(6, 7)
+
+
+def test_every_rule_preserves_the_invariant(box):
+    assert len(box) == 12376
+    rules = [_rule(gid) for gid in _all_gids(7)]
+    applied = 0
+    for mono in box:
+        inv = _invariant(mono)
+        for lead, _, tail, _ in rules:
+            if lead.divides(mono):
+                assert _invariant((mono / lead) * tail) == inv, (mono, lead)
+                applied += 1
+        # the package's invariant is the one defined above, and the closed
+        # form stays inside the class
+        assert ideal._invariant(mono)[0] == inv
+        std = _standard_form(mono)[2]
+        assert _invariant(std) == inv and is_standard_monomial(std)
+    assert applied > 10000
+
+
+def test_invariant_is_injective_on_standard_monomials(box):
+    standard = [mono for mono in box if is_standard_monomial(mono)]
+    assert len(standard) == 4802
+    seen = {}
+    for mono in standard:
+        if _invariant(mono)[1] >= 1:
+            assert seen.setdefault(_invariant(mono), mono) == mono
+    assert len(seen) == 512  # the other 4290 have s = 0: no x, no y, z < 2
+    # at s = 0 it is not: both standard, one invariant
+    assert _invariant(m("w0*w3")) == _invariant(m("w1*w2"))
 
 
 # --- certificate ------------------------------------------------------------

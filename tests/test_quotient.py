@@ -35,6 +35,7 @@ from banachalg.quotient import (
 )
 
 from conftest import (
+    monomial_box,
     nonzero_random_standard_polynomial,
     random_coefficient,
     random_polynomial,
@@ -129,6 +130,20 @@ def test_norm_bounds_subadditive_submultiplicative():
         b = project(random_polynomial(rng))
         assert r_add(a, b).norm <= a.norm + b.norm
         assert r_mul(a, b).norm <= a.norm * b.norm
+
+
+def test_quotient_norm_is_graded():
+    """The ideal is homogeneous and nf keeps degrees, so the norm of a class
+    is the sum of the norms of its homogeneous parts (used by the
+    non-flatness argument in ``series``)."""
+    rng = random.Random(1968)
+    for _ in range(300):
+        p = random_polynomial(rng)
+        parts: dict[int, list] = {}
+        for t in p.terms:
+            parts.setdefault(t.monomial.degree, []).append((t.coefficient, t.monomial))
+        graded = sum(project(Polynomial.from_terms(ts)).norm for ts in parts.values())
+        assert project(p).norm == graded
 
 
 def test_norm_is_exact():
@@ -252,6 +267,39 @@ def test_divide_is_deterministic_window_choice():
     assert h == project(parse("2*w1*w2"))
     # and it is a genuine quotient
     assert r_mul(project(X), h) == project(parse("y*w1^2"))
+
+
+def _three_branch_divide(mono):
+    """The pullback of one standard monomial under x by the case analysis
+    that predates the class invariant: (scalar, preimage), or None."""
+    if mono.x_exp >= 1:
+        return Fraction(1), mono / X.terms[0].monomial
+    size, mass = mono.w_size(), mono.w_mass()
+    if mono.y_exp >= 1 and size >= 1:
+        a, hi = divmod(mass + 1, size)  # the window one mass higher
+        w = {a: size - hi, a + 1: hi}
+        source = Monomial.build(z=mono.z_exp, y=mono.y_exp - 1, w=w)
+        return Fraction(_wfact(source.w), _wfact(mono.w)), source
+    return None
+
+
+def test_divide_matches_the_three_branch_rule_on_a_box():
+    """Every standard monomial of degree <= 6 with w-indices <= 7."""
+    standard = [mono for mono in monomial_box(6, 7) if is_standard_monomial(mono)]
+    assert len(standard) == 4802
+    divided = 0
+    for mono in standard:
+        g = RElement(Polynomial.monomial(mono))
+        h = divide_by_x(g)
+        expected = _three_branch_divide(mono)
+        if expected is None:
+            assert h is None, mono
+            continue
+        scalar, source = expected
+        assert h == RElement(Polynomial.monomial(source, scalar)), mono
+        assert project(X * h.poly) == g
+        divided += 1
+    assert 0 < divided < len(standard)
 
 
 # --- the structural caveat, pinned as facts ---------------------------------
