@@ -147,12 +147,12 @@ def cmd_groebner_verify(args) -> int:
 
 
 def cmd_divide_x(args) -> int:
-    g = project(parse(args.expr))
-    h = divide_by_x(g)
+    p = parse(args.expr)
+    h = divide_by_x(project(p))
     result = None if h is None else str(h)
     _emit(
         args.json,
-        lambda: {"command": "divide-x", "input": str(g), "result": result},
+        lambda: {"command": "divide-x", "input": to_str(p), "result": result},
         lambda: ["none" if result is None else result],
     )
     return 0

@@ -13,6 +13,22 @@ leading monomials are z^2, x*w_{k+1} and y*w_k*w_{l+1}, so a monomial is
 *standard* iff it is divisible by none of those, and every polynomial has a
 unique normal form supported on standard monomials.
 
+``_rewrite_rule(gid)`` is the one place that writes these formulas, as
+(lead, lc, tail, tc); ``generator`` builds its Polynomial from that rule.
+``divisor_generators(m)`` lists the generators whose leading monomial
+divides m, largest leading monomial first, in an order written out rather
+than sorted.  The monomial order compares total degree, then z, x and y,
+then the w-exponents from the highest index down.  So every G (degree 3)
+precedes F0 and the F_j (degree 2); G_{lo,hi-1}, led by y*w_lo*w_hi, ranks
+by hi, then by lo; z^2 beats every x*w_j; and x*w_j ranks by j.
+``is_standard_monomial(m)`` is ``not divisor_generators(m)``.
+
+The module keeps two caches, both keyed by generator ids and neither by
+monomials: ``F``, ``G`` and ``parse_generator_id`` return one interned
+object per id, and ``_rewrite_rule`` holds one rule per id.  Each holds at
+most one entry per id ever requested, (N + 1) + N(N - 1)/2 for the ids
+with w-indices <= N.  The certificate's chain memo lives for one call.
+
 Because the basis is binomial, every monomial m reduces to a single term
 rho(m) * std(m) (Eisenbud & Sturmfels, "Binomial ideals", 1996), and one
 invariant names std(m).  Let p = z // 2, size the number of w-factors and
@@ -145,9 +161,11 @@ class ReductionLimitError(RuntimeError):
 class GeneratorId:
     """F(j) or G(k, l) with k < l; ordered and hashable.
 
-    The hash of (kind, a, b) is computed once, since ids key the rule cache
-    and the certificate's lookups.  ``str`` hashes differ between processes,
-    so pickling and copying rebuild the id through the constructor."""
+    ``F``, ``G`` and ``parse_generator_id`` return one interned object per
+    id; the public constructor builds a new, equal one.  The hash of
+    (kind, a, b) is computed once, since ids key the rule cache and the
+    certificate's lookups.  ``str`` hashes differ between processes, so
+    pickling and copying rebuild the id through ``F`` or ``G``."""
 
     kind: str
     a: int
@@ -157,7 +175,9 @@ class GeneratorId:
     def __post_init__(self):
         if self.kind not in ("F", "G"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "F" and (self.a < 0 or self.b != -1):
+        if self.kind == "F" and self.b != -1:
+            raise ValueError(f"F takes one index, got a second index {self.b}")
+        if self.kind == "F" and self.a < 0:
             raise ValueError(f"invalid F index {self.a}")
         if self.kind == "G" and not 0 <= self.a < self.b:
             raise ValueError(f"G requires 0 <= k < l, got k={self.a}, l={self.b}")
@@ -167,18 +187,22 @@ class GeneratorId:
         return self._hash
 
     def __reduce__(self):
-        return GeneratorId, (self.kind, self.a, self.b)
+        return (F, (self.a,)) if self.kind == "F" else (G, (self.a, self.b))
 
     def __str__(self) -> str:
         return f"F{self.a}" if self.kind == "F" else f"G{self.a},{self.b}"
 
 
+# the id cache: one GeneratorId per (kind, *indices) ever requested
+_generator_id = lru_cache(maxsize=None)(GeneratorId)
+
+
 def F(j: int) -> GeneratorId:
-    return GeneratorId("F", j)
+    return _generator_id("F", j)
 
 
 def G(k: int, l: int) -> GeneratorId:
-    return GeneratorId("G", k, l)
+    return _generator_id("G", k, l)
 
 
 def parse_generator_id(text: str) -> GeneratorId:
@@ -192,35 +216,14 @@ def parse_generator_id(text: str) -> GeneratorId:
     except ValueError:
         args = ()
     if (kind, len(args)) in (("F", 1), ("G", 2)):
-        return GeneratorId(kind, *args)
+        return _generator_id(kind, *args)
     raise ValueError(f"cannot parse generator id {text!r} (expected F<j> or G<k>,<l>)")
 
 
-@lru_cache(maxsize=None)
 def generator(gid: GeneratorId) -> Polynomial:
-    """The exact binomial for the id; rejects malformed ids on construction."""
-    if gid.kind == "F":
-        j = gid.a
-        if j == 0:
-            return Polynomial.from_terms(
-                [(1, Monomial.build(x=1, w={0: 1})), (-1, Monomial.build(z=2))]
-            )
-        return Polynomial.from_terms(
-            [
-                (1, Monomial.build(y=1, w={j - 1: 1})),
-                (-j, Monomial.build(x=1, w={j: 1})),
-            ]
-        )
-    k, l = gid.a, gid.b
-    second: dict[int, int] = {}  # w_l * w_{k+1}; the indices coincide when l = k+1
-    for i in (l, k + 1):
-        second[i] = second.get(i, 0) + 1
-    return Polynomial.from_terms(
-        [
-            (l + 1, Monomial.build(y=1, w={k: 1, l + 1: 1})),
-            (-(k + 1), Monomial.build(y=1, w=second)),
-        ]
-    )
+    """The exact binomial for the id, read off its rewrite rule."""
+    lead, lc, tail, tc = _rewrite_rule(gid)
+    return Polynomial((_term(lc, lead), _term(tc, tail)))
 
 
 def leading_term(p: Polynomial) -> Term:
@@ -229,19 +232,27 @@ def leading_term(p: Polynomial) -> Term:
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _KEY = attrgetter("key")  # the monomial order, as a sort key
 
 
 @lru_cache(maxsize=None)
 def _rewrite_rule(gid: GeneratorId) -> tuple[Monomial, Fraction, Monomial, Fraction]:
-    """(leading monomial, leading coeff, tail monomial, tail coeff).
+    """(leading monomial, leading coeff, tail monomial, tail coeff): the one
+    place that writes the F0, F_j and G_{k,l} formulas.
 
     Every generator is a binomial, so a reduction step is one division, one
     multiplication and one coefficient update.
     """
-    g = generator(gid)
-    lt, tail = g.terms
-    return lt.monomial, lt.coefficient, tail.monomial, tail.coefficient
+    a, b = gid.a, gid.b
+    if gid.kind == "G":  # (b+1)*y*w_a*w_{b+1} - (a+1)*y*w_b*w_{a+1}
+        lead = _monomial(0, 0, 1, ((a, 1), (b + 1, 1)))
+        tail_w = ((b, 2),) if b == a + 1 else ((a + 1, 1), (b, 1))
+        return lead, Fraction(b + 1), _monomial(0, 0, 1, tail_w), Fraction(-a - 1)
+    if a == 0:  # x*w0 - z^2
+        return _monomial(2, 0, 0, ()), Fraction(-1), _monomial(0, 1, 0, ((0, 1),)), _ONE
+    # y*w_{a-1} - a*x*w_a
+    return _monomial(0, 1, 0, ((a, 1),)), Fraction(-a), _monomial(0, 0, 1, ((a - 1, 1),)), _ONE
 
 
 def _rewrite_step(
@@ -276,19 +287,7 @@ def s_polynomial(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def is_standard_monomial(m: Monomial) -> bool:
     """True iff m is divisible by none of z^2, x*w_{k+1}, y*w_k*w_{l+1} (k<l)."""
-    if m.z_exp >= 2:
-        return False
-    idx = m.w_indices()
-    if m.x_exp >= 1 and any(i >= 1 for i in idx):
-        return False
-    if m.y_exp >= 1:
-        # two distinct support indices at distance >= 2
-        for lo, hi in zip(idx, idx[1:]):
-            if hi - lo >= 2:
-                return False
-        if len(idx) >= 3:
-            return False
-    return True
+    return not divisor_generators(m)
 
 
 def is_standard(p: Polynomial) -> bool:
@@ -341,26 +340,19 @@ def _standard_form(m: Monomial) -> tuple[int, int, Monomial]:
     return wfact_std, wfact_m, std
 
 
-@lru_cache(maxsize=65536)
 def divisor_generators(m: Monomial) -> tuple[GeneratorId, ...]:
     """Generators whose leading monomial divides m, largest leading monomial
-    first.  Only finitely many can apply; they are read off the w-support.
+    first.  Only finitely many can apply; they are read off the w-support,
+    already in order (see the module docstring).
     """
-    out: list[GeneratorId] = []
-    idx = m.w_indices()
-    if m.y_exp >= 1:
-        for i_pos, lo in enumerate(idx):
-            for hi in idx[i_pos + 1 :]:
-                if hi - lo >= 2:
-                    out.append(G(lo, hi - 1))
-    if m.x_exp >= 1:
-        for j in idx:
-            if j >= 1:
-                out.append(F(j))
+    idx = [i for i, _ in reversed(m.w)]  # descending
+    out = []
+    if m.y_exp:
+        out = [G(lo, hi - 1) for n, hi in enumerate(idx) for lo in idx[n + 1 :] if hi - lo >= 2]
     if m.z_exp >= 2:
         out.append(F(0))
-    # largest leading monomial first; distinct generators never tie
-    out.sort(key=lambda g: _rewrite_rule(g)[0].key, reverse=True)
+    if m.x_exp:
+        out += [F(j) for j in idx if j]
     return tuple(out)
 
 

@@ -85,6 +85,13 @@ def test_divide_x(capsys):
     assert code == 0 and out.strip() == "none"
 
 
+def test_divide_x_json_input_is_the_expression(capsys):
+    # the input as parsed, as nf prints it, not its normal form x*w0
+    code, data, _ = run_json(capsys, "divide-x", "z^2")
+    assert code == 0
+    assert data == {"command": "divide-x", "input": "z^2", "result": "w0"}
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "nf", "x^")
     assert code == 2
@@ -212,7 +219,10 @@ def test_strong_artin_stdout_is_pinned(capsys, mode, example):
 
 
 # sha256 of stdout, all runs of a command concatenated, as printed before
-# nf and divide-x picked class monomials through the invariant I
+# nf and divide-x picked class monomials through the invariant I; the
+# divide-x --json digest was re-pinned when its "input" field changed from
+# the normal form of the input to the input itself (every "result" and
+# every text line unchanged)
 NF_INPUTS = [
     "y*w1^2", "x*w0*w3 + z^2*w1", "y*w0*w2000", "z^2*w1", "7", "0", "z*w3*w9",
     "x^3*w2*w5 - (1/3)*y^2*w0*w7", "z^5*w4 + x*y*w3^2", "x*y*z^3*w0*w1*w6",
@@ -232,7 +242,7 @@ PINNED_DIGESTS = {
     ("text", "divide-x"): "b0e3ca20671bf8f869ee5785f13c78c5db6d0d0d7e9610941128d66389496b7a",
     ("text", "solve-series"): "d0a46902c8283fb524717f23bd8ba659c3e47e0698b0181522bf2fd95c07f48e",
     ("--json", "nf"): "2ad23611d19555cfb1df22c6ffaf2260fe40793974f70071b7703b1d0ee79e05",
-    ("--json", "divide-x"): "a14183e7bd9e256543d4c5a477bd80f2d4d5d77594197e279c6a545cacaa0899",
+    ("--json", "divide-x"): "2e60b547f4857ec35171ff77e76bd0214ef47278c1577847a38968249bb9083d",
     ("--json", "solve-series"): "9b79eec2ed28017a4b6e14f91e852ca3142fa3b7b9494403bffa41a395295cb3",
 }
 
@@ -247,6 +257,28 @@ def test_class_monomial_stdout_is_pinned(capsys, mode, command):
         out += chunk
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == PINNED_DIGESTS[mode, command]
+
+
+# sha256 of groebner-verify stdout as printed before the divisor order was
+# written out and generator ids were interned
+GROEBNER_VERIFY_DIGESTS = {
+    ("text", "6"): "8cf8cc37fce9657ad1b6cb24da4097d6ff847f054e2ffa71ead5ebcf737e6d9f",
+    ("--verbose", "6"): "e41aee07d8023e7404a901e8c1a24539cc01db9ef4b74d22200d1d2e857b33bf",
+    ("--json", "6"): "eb28d4532852471c73d7eb50fd3229799790de1c1713b456961d22340d6fa6ed",
+    ("text", "12"): "3d2a382e388a59c8406c97cf5157254640d75dc158882517e8a0c4adf4aa43cd",
+    ("--verbose", "12"): "6cdac2ad7036b29e83adcba4aaa1f8f3915ff035164bb52ab58ecac71069815f",
+    ("--json", "12"): "ee59edbfc7fdd6485d16c073fa8e22546a3b6dac5efdc7552da53d79915192e7",
+}
+
+
+@pytest.mark.parametrize("mode, max_index", sorted(GROEBNER_VERIFY_DIGESTS))
+def test_groebner_verify_stdout_is_pinned(capsys, mode, max_index):
+    flags = ["--json"] if mode == "--json" else []
+    verbose = ["--verbose"] if mode == "--verbose" else []
+    code, out, _ = run(capsys, *flags, "groebner-verify", "--max-index", max_index, *verbose)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GROEBNER_VERIFY_DIGESTS[mode, max_index]
 
 
 def test_remark(capsys):

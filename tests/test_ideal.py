@@ -84,6 +84,37 @@ def test_generator_rejects_bad_ids():
         G(3, 2)
     with pytest.raises(ValueError):
         GeneratorId("F", -1)
+    # the stray second index is named, not the valid first one
+    with pytest.raises(ValueError, match="second index 5"):
+        GeneratorId("F", 3, 5)
+
+
+def test_generator_ids_are_interned():
+    assert F(3) is F(3)
+    assert G(1, 4) is G(1, 4)
+    assert parse_generator_id("g1,4") is G(1, 4)
+    assert parse_generator_id("F3") is F(3)
+    assert pickle.loads(pickle.dumps(G(1, 4))) is G(1, 4)
+
+
+def _ideal_caches():
+    return {
+        name: obj for name, obj in vars(ideal).items() if hasattr(obj, "cache_info")
+    }
+
+
+def test_module_caches_are_keyed_by_ids_and_bounded():
+    # no cache keyed by monomials: the chain engine memoises per call
+    assert set(_ideal_caches()) == {"_rewrite_rule", "_generator_id"}
+    assert not hasattr(divisor_generators, "cache_info")
+    assert not hasattr(generator, "cache_info")
+    for cache in _ideal_caches().values():
+        cache.cache_clear()
+    groebner_certificate(12)
+    bound = len(_all_gids(12))  # ids with every w-index <= 12
+    assert bound == 13 + 66
+    for name, cache in _ideal_caches().items():
+        assert cache.cache_info().currsize <= bound, name
 
 
 def _gid_fields(gid):
@@ -643,6 +674,89 @@ def test_invariant_is_injective_on_standard_monomials(box):
     assert len(seen) == 512  # the other 4290 have s = 0: no x, no y, z < 2
     # at s = 0 it is not: both standard, one invariant
     assert _invariant(m("w0*w3")) == _invariant(m("w1*w2"))
+
+
+def _old_divisor_generators(mono):
+    """The divisor list as collected before the order was written out: every
+    applicable id, then a sort by leading monomial, largest first."""
+    out = []
+    idx = mono.w_indices()
+    if mono.y_exp >= 1:
+        for i_pos, lo in enumerate(idx):
+            for hi in idx[i_pos + 1 :]:
+                if hi - lo >= 2:
+                    out.append(G(lo, hi - 1))
+    if mono.x_exp >= 1:
+        out += [F(j) for j in idx if j >= 1]
+    if mono.z_exp >= 2:
+        out.append(F(0))
+    out.sort(key=lambda g: ideal._rewrite_rule(g)[0].key, reverse=True)
+    return tuple(out)
+
+
+def _old_is_standard_monomial(mono):
+    """The three-condition predicate that read the leading monomials by hand."""
+    if mono.z_exp >= 2:
+        return False
+    idx = mono.w_indices()
+    if mono.x_exp >= 1 and any(i >= 1 for i in idx):
+        return False
+    if mono.y_exp >= 1:
+        if any(hi - lo >= 2 for lo, hi in zip(idx, idx[1:])) or len(idx) >= 3:
+            return False
+    return True
+
+
+def _old_generator(gid):
+    """The generator formulas as written with the checked constructors."""
+    if gid.kind == "F":
+        j = gid.a
+        if j == 0:
+            return Polynomial.from_terms(
+                [(1, Monomial.build(x=1, w={0: 1})), (-1, Monomial.build(z=2))]
+            )
+        return Polynomial.from_terms(
+            [(1, Monomial.build(y=1, w={j - 1: 1})), (-j, Monomial.build(x=1, w={j: 1}))]
+        )
+    k, l = gid.a, gid.b
+    second = {}
+    for i in (l, k + 1):
+        second[i] = second.get(i, 0) + 1
+    return Polynomial.from_terms(
+        [
+            (l + 1, Monomial.build(y=1, w={k: 1, l + 1: 1})),
+            (-(k + 1), Monomial.build(y=1, w=second)),
+        ]
+    )
+
+
+def test_divisor_order_matches_the_sort_by_leading_monomial(box):
+    reducible = 0
+    for mono in box:
+        gens = divisor_generators(mono)
+        assert gens == _old_divisor_generators(mono), mono
+        assert all(ideal._rewrite_rule(g)[0].divides(mono) for g in gens)
+        reducible += bool(gens)
+    assert reducible == len(box) - 4802
+
+
+def test_is_standard_monomial_matches_the_three_conditions(box):
+    for mono in box:
+        assert is_standard_monomial(mono) is _old_is_standard_monomial(mono), mono
+
+
+def test_rewrite_rules_match_the_written_formulas():
+    ids = [F(j) for j in range(31)]
+    ids += [G(k, l) for k in range(31) for l in range(k + 1, 31)]
+    for gid in ids:
+        expected = _old_generator(gid)
+        assert generator(gid) == expected
+        lead, tail = expected.terms
+        rule = ideal._rewrite_rule(gid)
+        assert rule == (lead.monomial, lead.coefficient, tail.monomial, tail.coefficient)
+        assert all(type(c) is Fraction for c in rule[1::2])
+        for got, want in zip(rule[::2], (lead.monomial, tail.monomial)):
+            assert (got.key, hash(got), got.w) == (want.key, hash(want), want.w)
 
 
 # --- certificate ------------------------------------------------------------
