@@ -2,9 +2,10 @@
 
 Every verification is a subcommand; output is plain text by default or JSON
 with --json.  Exit codes: 0 all checked assertions hold, 1 a verification
-failed, 2 usage or parse error, 141 (128 + SIGPIPE) the reader closed stdout
-before the output was written, with nothing on stderr.  All numbers print
-as exact integers or fractions p/q.
+failed, 2 usage or parse error, 130 (128 + SIGINT) interrupted by Ctrl-C,
+141 (128 + SIGPIPE) the reader closed stdout before the output was written;
+130 and 141 print nothing on stderr.  All numbers print as exact integers
+or fractions p/q.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .poly import l1_norm, parse, to_str
 from .quotient import divide_by_x, project
 from .series import divergence_certificate, expected_coefficient, residual, solve_equation
 
-USAGE_ERROR, VERIFY_ERROR, BROKEN_PIPE = 2, 1, 141
+USAGE_ERROR, VERIFY_ERROR, INTERRUPTED, BROKEN_PIPE = 2, 1, 130, 141
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -275,9 +276,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # exact scalars such as the one of nf(y*w0*w15001) exceed Python's
-    # default limit on int-to-str digits (3.11+); lift it for the CLI
+    # default limit on int-to-str digits (3.11+); lift it for the command
+    # and put the caller's limit back afterwards
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is not None:
+        previous = sys.get_int_max_str_digits()
         set_limit(0)
     try:
         code = HANDLERS[args.command](args)
@@ -286,6 +289,8 @@ def main(argv=None) -> int:
     except (ValueError, argparse.ArgumentTypeError, ReductionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except KeyboardInterrupt:
+        return INTERRUPTED
     except BrokenPipeError:
         # the reader closed stdout early; point fd 1 at devnull so that the
         # interpreter's exit flush cannot raise again
@@ -293,6 +298,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return BROKEN_PIPE
+    finally:
+        if set_limit is not None:
+            set_limit(previous)
 
 
 if __name__ == "__main__":

@@ -54,9 +54,9 @@ to rho and 0 < rho <= 1.  ``nf`` evaluates this closed form term by term in
 integer arithmetic: ``_standard_form`` returns rho as two integers, and a
 term c*m becomes one reduced fraction c.numerator * a / (c.denominator * b),
 none when rho = 1.  A term with s = 0 costs no factorial at all, and
-otherwise one pass over its w-part yields size, mass and Wfact(m).
-Fractions are added only where terms share std, and the sorted result
-becomes a Polynomial without a second pass through ``from_terms``.
+otherwise one pass over its w-part yields size, mass and Wfact(m).  The
+scaled terms go to ``Polynomial.from_terms``, which adds Fractions only
+where terms share std.
 
 A Gröbner basis at every index.  The certificate below checks w-indices up
 to its ``max_index``; the proof here covers all of them, and so covers
@@ -137,13 +137,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
 from .poly import (
     Monomial,
     Polynomial,
     Term,
+    _KEY,
     _monomial,
     _rewrite_monomial,
     _term,
@@ -233,7 +233,6 @@ def leading_term(p: Polynomial) -> Term:
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_KEY = attrgetter("key")  # the monomial order, as a sort key
 
 
 @lru_cache(maxsize=None)
@@ -304,14 +303,18 @@ def _wfact(w: tuple[tuple[int, int], ...]) -> int:
 
 def _invariant(m: Monomial) -> tuple[tuple[int, int, int, int], int]:
     """(I(m), Wfact(m)) in one pass over the w-part; see the module
-    docstring for I."""
+    docstring for I.  ValueError for a w-index past ``math.factorial``'s
+    range (above the C ``long`` maximum)."""
     size = mass = 0
     wfact = 1
     for i, e in m.w:
         size += e
         mass += i * e
         if i > 1:
-            wfact *= factorial(i) ** e
+            try:
+                wfact *= factorial(i) ** e
+            except OverflowError:
+                raise ValueError(f"w-index {i} is too large for factorial") from None
     pairs, z = divmod(m.z_exp, 2)
     return (z, m.x_exp + m.y_exp + pairs, size + pairs, mass + m.y_exp), wfact
 
@@ -464,16 +467,14 @@ def normal_form(
 def nf(p: Polynomial) -> Polynomial:
     """The normal form of p by the closed form; equals ``normal_form(p)[0]``.
     See the module docstring for the arithmetic."""
-    acc: dict[Monomial, Fraction] = {}
+    pairs = []
     for t in p.terms:
         a, b, std = _standard_form(t.monomial)
         c = t.coefficient
         if a != b:
             c = Fraction(c.numerator * a, c.denominator * b)
-        prev = acc.get(std)
-        acc[std] = c if prev is None else prev + c
-    ordered = sorted((m for m, c in acc.items() if c), key=_KEY, reverse=True)
-    return Polynomial(tuple(_term(acc[m], m) for m in ordered))
+        pairs.append((c, std))
+    return Polynomial.from_terms(pairs)
 
 
 def reduce_by_single(p: Polynomial, gid: GeneratorId) -> tuple[Polynomial, Polynomial]:

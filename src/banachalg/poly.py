@@ -19,18 +19,22 @@ constructor ``Monomial(z, x, y, w)`` rejects negative exponents, zero
 w-exponents, negative w-indices and w-indices that do not strictly ascend.
 ``Monomial.build``, the parser and every other module construct through it.
 Products, lcms and exact quotients of valid monomials are valid by
-construction, so ``*``, ``lcm``, ``/`` (after its ``divides`` check) and
-the rewrite helper ``_rewrite_monomial`` skip the checks and build their
-results with the private ``_monomial``.  The certificate's rewrite chains
-do little else than build such monomials, so the checks would dominate
-their cost.
+construction, so they skip the checks and build their results with the
+private ``_monomial``.  ``*`` and ``/`` both build through the rewrite
+helper ``_rewrite_monomial``, which computes (m / lead) * tail in one pass
+and raises ValueError when lead does not divide m; ``m * n`` is the rewrite
+with lead ``ONE`` and ``m / n`` the one with tail ``ONE``.  The
+certificate's rewrite chains do little else than build such monomials, so
+the checks would dominate their cost.
 
 Terms, like Monomials, are validated only at the public constructor
 ``Term(c, m)``, which coerces c to ``Fraction`` and rejects 0.
-``Polynomial.from_terms`` coerces, merges and drops zeros before it builds
-any Term, and negatives, nonzero scalar multiples and products of nonzero
-Fractions are nonzero Fractions, so ``from_terms``, ``-p``, ``p * c``,
-``mul_term`` and ``ideal.nf`` build their Terms with the private ``_term``.
+``Polynomial.from_terms`` is the one place that merges (coefficient,
+monomial) pairs: it coerces, adds only where a monomial repeats, drops
+zeros once at the end and sorts, before it builds any Term.  Negatives,
+nonzero scalar multiples and products of nonzero Fractions are nonzero
+Fractions, so ``from_terms``, ``-p``, ``p * c``, ``mul_term`` and
+``ideal.generator`` build their Terms with the private ``_term``.
 
 A polynomial stores its terms sorted strictly decreasing in that order, so
 the leading term is ``terms[0]`` and printing is canonical.  The l1 norm
@@ -42,9 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Union
 
 Rational = Union[int, Fraction]
+_KEY = attrgetter("key")  # the monomial order, as a sort key
 
 
 class Variable(NamedTuple):
@@ -146,15 +152,7 @@ class Monomial:
         return sum(i * e for i, e in self.w)
 
     def __mul__(self, other: Monomial) -> Monomial:
-        d = dict(self.w)
-        for i, e in other.w:
-            d[i] = d.get(i, 0) + e
-        return _monomial(
-            self.z_exp + other.z_exp,
-            self.x_exp + other.x_exp,
-            self.y_exp + other.y_exp,
-            tuple(sorted(d.items())),
-        )
+        return _rewrite_monomial(self, ONE, other)
 
     def divides(self, other: Monomial) -> bool:
         if (
@@ -167,17 +165,7 @@ class Monomial:
         return all(d.get(i, 0) >= e for i, e in self.w)
 
     def __truediv__(self, other: Monomial) -> Monomial:
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        d = dict(self.w)
-        for i, e in other.w:
-            d[i] -= e
-        return _monomial(
-            self.z_exp - other.z_exp,
-            self.x_exp - other.x_exp,
-            self.y_exp - other.y_exp,
-            tuple(sorted((i, e) for i, e in d.items() if e)),
-        )
+        return _rewrite_monomial(self, other, ONE)
 
     def lcm(self, other: Monomial) -> Monomial:
         d = dict(self.w)
@@ -241,7 +229,10 @@ def _repr(z: int, x: int, y: int, w) -> str:
 
 def _rewrite_monomial(m: Monomial, lead: Monomial, tail: Monomial) -> Monomial:
     """(m / lead) * tail in one build; ValueError unless lead divides m."""
-    if m.z_exp < lead.z_exp or m.x_exp < lead.x_exp or m.y_exp < lead.y_exp:
+    z = m.z_exp - lead.z_exp
+    x = m.x_exp - lead.x_exp
+    y = m.y_exp - lead.y_exp
+    if z < 0 or x < 0 or y < 0:
         raise ValueError(f"{lead} does not divide {m}")
     d = dict(m.w)
     for i, e in lead.w:
@@ -255,10 +246,7 @@ def _rewrite_monomial(m: Monomial, lead: Monomial, tail: Monomial) -> Monomial:
     for i, e in tail.w:
         d[i] = d.get(i, 0) + e
     return _monomial(
-        m.z_exp - lead.z_exp + tail.z_exp,
-        m.x_exp - lead.x_exp + tail.x_exp,
-        m.y_exp - lead.y_exp + tail.y_exp,
-        tuple(sorted(d.items())),
+        z + tail.z_exp, x + tail.x_exp, y + tail.y_exp, tuple(sorted(d.items()))
     )
 
 
@@ -278,8 +266,9 @@ class Term:
     """One nonzero term coefficient * monomial, an immutable value.
 
     The public constructor coerces the coefficient to ``Fraction`` and
-    rejects 0; ``Polynomial``'s own operations and ``ideal.nf`` build their
-    Terms with the private, unchecked ``_term`` (see the module docstring).
+    rejects 0; ``Polynomial``'s own operations and ``ideal.generator`` build
+    their Terms with the private, unchecked ``_term`` (see the module
+    docstring).
     """
 
     __slots__ = ("coefficient", "monomial")
@@ -342,20 +331,14 @@ class Polynomial:
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Rational, Monomial]]) -> Polynomial:
-        zero = Fraction(0)
         acc: dict[Monomial, Fraction] = {}
         for c, m in pairs:
             if not isinstance(c, Fraction):
                 c = Fraction(c)
-            if c == 0:
-                continue
-            acc[m] = acc.get(m, zero) + c
-        ordered = sorted(
-            ((c, m) for m, c in acc.items() if c != 0),
-            key=lambda cm: cm[1].key,
-            reverse=True,
-        )
-        return Polynomial(tuple(_term(c, m) for c, m in ordered))
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
+        ordered = sorted((m for m, c in acc.items() if c), key=_KEY, reverse=True)
+        return Polynomial(tuple(_term(acc[m], m) for m in ordered))
 
     @staticmethod
     def zero() -> Polynomial:

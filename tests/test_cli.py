@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import banachalg.cli as cli
 from banachalg.cli import main
 
 from conftest import subprocess_env
@@ -316,7 +317,15 @@ def test_byte_identical_reruns(capsys, argv):
     assert out1 == out2
 
 
-# --- closed stdout -------------------------------------------------------------
+# --- interrupt and closed stdout ------------------------------------------------
+
+
+def test_interrupt_exits_130_quietly(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.HANDLERS, "groebner-verify", interrupted)
+    assert run(capsys, "groebner-verify", "--max-index", "40") == (130, "", "")
 
 
 def test_closed_stdout_exits_141_quietly():
@@ -350,3 +359,25 @@ def test_nf_prints_scalars_beyond_the_int_str_digit_limit():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.rstrip("\n").endswith("*y*w7500*w7501")
+
+
+@pytest.mark.parametrize("command", ["nf", "divide-x"])
+def test_w_index_beyond_factorial_range_exits_2(capsys, command):
+    # math.factorial takes at most a C long; the closed form names the index
+    code, out, err = run(capsys, command, "y*w99999999999999999999")
+    assert (code, out) == (2, "")
+    assert err == "error: w-index 99999999999999999999 is too large for factorial\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_main_restores_the_int_str_digit_limit(capsys):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run(capsys, "nf", "y*w0*w15001")
+        assert code == 0 and len(out) > 4300
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)

@@ -3,8 +3,10 @@
 import copy
 import pickle
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -267,7 +269,19 @@ def test_divisor_generators_ordering():
     assert divisor_generators(m("w0*w9")) == ()
 
 
+def _exponents(mono):
+    """The exponent vector of mono, keyed by 'z', 'x', 'y' and w-indices."""
+    return Counter({"z": mono.z_exp, "x": mono.x_exp, "y": mono.y_exp, **dict(mono.w)})
+
+
+def _from_exponents(e):
+    w = {i: n for i, n in e.items() if isinstance(i, int)}
+    return Monomial.build(z=e["z"], x=e["x"], y=e["y"], w=w)
+
+
 def test_one_build_rewrite_matches_divide_then_multiply():
+    # * and / build through _rewrite_monomial, so the reference works on
+    # exponent vectors and builds through the checked constructor
     rng = random.Random(41)
     pool = [F(j) for j in range(11)]
     pool += [G(k, l) for k in range(10) for l in range(k + 1, 10)]
@@ -276,15 +290,21 @@ def test_one_build_rewrite_matches_divide_then_multiply():
         mono = random_monomial(rng)
         for gid in list(divisor_generators(mono)) + rng.sample(pool, 3):
             lm, _, tm, _ = ideal._rewrite_rule(gid)
-            if lm.divides(mono):
-                got = _rewrite_monomial(mono, lm, tm)
-                expected = (mono / lm) * tm
-                assert got == expected
-                assert (got.key, hash(got)) == (expected.key, hash(expected))
+            have, lead = _exponents(mono), _exponents(lm)
+            if all(have[v] >= e for v, e in lead.items()):
+                assert lm.divides(mono)
+                expected = _from_exponents(have - lead + _exponents(tm))
+                for got in (_rewrite_monomial(mono, lm, tm), (mono / lm) * tm):
+                    assert got == expected
+                    assert (got.key, hash(got)) == (expected.key, hash(expected))
                 divisible += 1
             else:
-                with pytest.raises(ValueError):
+                assert not lm.divides(mono)
+                message = f"^{re.escape(f'{lm} does not divide {mono}')}$"
+                with pytest.raises(ValueError, match=message):
                     _rewrite_monomial(mono, lm, tm)
+                with pytest.raises(ValueError, match=message):
+                    mono / lm
                 refused += 1
     assert divisible > 300 and refused > 300
 
@@ -481,6 +501,22 @@ def test_nf_and_project_do_not_use_the_rewriting_engine(monkeypatch):
     monkeypatch.setattr("banachalg.ideal.normal_form", refuse)
     assert nf(parse("z^2*w1 + x*w0*w3")) == parse("y*w0^2 + (1/6)*y*w1^2")
     assert str(project(parse("y*w0*w2"))) == "(1/2)*y*w1^2"
+
+
+def test_nf_merges_through_from_terms(monkeypatch):
+    p = parse("z^2*w1 + x*w0*w3 - y*w0^2")
+    calls = []
+    build = Polynomial.from_terms
+
+    def spy(pairs):
+        pairs = list(pairs)
+        calls.append(pairs)
+        return build(pairs)
+
+    monkeypatch.setattr(Polynomial, "from_terms", staticmethod(spy))
+    assert to_str(nf(p)) == "(1/6)*y*w1^2"
+    (pairs,) = calls
+    assert [to_str(build([pair])) for pair in pairs] == ["y*w0^2", "(1/6)*y*w1^2", "-y*w0^2"]
 
 
 def _reference_nf(p):

@@ -20,7 +20,7 @@ from banachalg.poly import (
     to_str,
 )
 
-from conftest import random_monomial, random_polynomial
+from conftest import random_coefficient, random_monomial, random_polynomial
 
 
 def m(text):
@@ -402,3 +402,44 @@ def test_polynomial_operations_keep_nonzero_fraction_terms():
     assert -p == Polynomial.from_terms((-t.coefficient, t.monomial) for t in p.terms)
     assert p.mul_term(2, m("w1")) == p * parse("2*w1")
     assert (p * 0).is_zero() and p.mul_term(0, m("w1")).is_zero()
+
+
+# --- the term merge -----------------------------------------------------------
+
+
+def _merge_onto_zero(pairs):
+    """Reference merge: every coefficient is added onto Fraction(0), zeros
+    are skipped on the way in and the Terms go through the checked
+    constructor."""
+    acc = {}
+    for c, mono in pairs:
+        c = Fraction(c)
+        if c != 0:
+            acc[mono] = acc.get(mono, Fraction(0)) + c
+    ordered = sorted((mono for mono, c in acc.items() if c != 0), key=lambda x: x.key)
+    return Polynomial(tuple(Term(acc[mono], mono) for mono in reversed(ordered)))
+
+
+def test_from_terms_matches_the_merge_onto_zero():
+    rng = random.Random(14)
+    seen = {"repeat": 0, "cancel": 0, "int": 0, "zero": 0}
+    for _ in range(400):
+        pool = [random_monomial(rng, max_degree=3, max_windex=4) for _ in range(4)]
+        pairs = []
+        for _ in range(rng.randint(0, 10)):
+            kind = rng.randrange(4)
+            c = (random_coefficient(rng), rng.randint(-9, 9), 0, Fraction(0))[kind]
+            pairs.append((c, rng.choice(pool)))
+        for c, mono in rng.sample(pairs, len(pairs) // 3):
+            pairs.append((-c, mono))  # cancels unless mono repeats
+        rng.shuffle(pairs)
+        monos = [mono for _, mono in pairs]
+        seen["repeat"] += len(monos) - len(set(monos))
+        seen["int"] += sum(type(c) is int for c, _ in pairs)
+        seen["zero"] += sum(c == 0 for c, _ in pairs)
+        expected = _merge_onto_zero(pairs)
+        seen["cancel"] += len(expected.terms) < len(set(monos))
+        got = Polynomial.from_terms(iter(pairs))
+        assert got == expected and to_str(got) == to_str(expected)
+        assert all(type(t) is Term and type(t.coefficient) is Fraction for t in got.terms)
+    assert min(seen.values()) > 100, seen
