@@ -143,6 +143,7 @@ from .poly import (
     Monomial,
     Polynomial,
     Term,
+    _INTEGER,
     _KEY,
     _monomial,
     _rewrite_monomial,
@@ -206,17 +207,15 @@ def G(k: int, l: int) -> GeneratorId:
 
 
 def parse_generator_id(text: str) -> GeneratorId:
-    """F<j> or G<k>,<l>, case-insensitive.  Text of another shape raises
-    "cannot parse"; a well-shaped id out of range raises the constructor's
-    own error."""
+    """F<j> or G<k>,<l>, case-insensitive, each index read by the polynomial
+    parser's integer rule (an optional sign, then ASCII digits).  Text of
+    another shape raises "cannot parse"; a well-shaped id out of range raises
+    the constructor's own error."""
     text = text.strip()
     kind = text[:1].upper()
-    try:
-        args = tuple(map(int, text[1:].split(",")))
-    except ValueError:
-        args = ()
-    if (kind, len(args)) in (("F", 1), ("G", 2)):
-        return _generator_id(kind, *args)
+    args = [_INTEGER.fullmatch(a.strip()) for a in text[1:].split(",")]
+    if (kind, len(args)) in (("F", 1), ("G", 2)) and all(args):
+        return _generator_id(kind, *(int(a.group()) for a in args))
     raise ValueError(f"cannot parse generator id {text!r} (expected F<j> or G<k>,<l>)")
 
 

@@ -44,6 +44,7 @@ ring a Banach algebra; ``l1_norm`` computes it exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -415,9 +416,20 @@ def l1_norm(p: Polynomial) -> Fraction:
 #
 # variables   x, y, z, w<digits>
 # exponent    ^<positive integer>     (variables only)
-# coefficient <int> or (<int>/<int>)
+# coefficient <digits> or (<integer>/<integer>)
 # terms       joined with + or -, products with *, whitespace ignored
+#
+# Digits are ASCII 0-9 only.  Three patterns read every token longer than
+# one character: _SPACE the whitespace before each token, _INTEGER an
+# optional sign and digits (a coefficient, numerator, denominator or
+# exponent), and _W_INDEX the digits right after w, with nothing between.
+# ``ideal.parse_generator_id`` reads its indices by _INTEGER as well.
+# The recursive descent in ``_Parser`` branches on one character at a time.
 # ---------------------------------------------------------------------------
+
+_SPACE = re.compile(r"\s*")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_W_INDEX = re.compile(r"[0-9]+")
 
 
 def format_term(c: Fraction, m: Monomial, leading: bool = True) -> str:
@@ -467,13 +479,10 @@ class _Parser:
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character after whitespace, or "" at the end."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
 
     def take(self, ch: str) -> bool:
         if self.peek() == ch:
@@ -486,51 +495,37 @@ class _Parser:
             raise self.error(f"expected '{ch}'")
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
+        self.peek()
+        match = _INTEGER.match(self.text, self.pos)
+        if match is None:
+            if self.text.startswith(("+", "-"), self.pos):
+                self.pos += 1  # the error points past the sign
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        self.pos = match.end()
+        return int(match.group())
 
     def parse_polynomial(self) -> Polynomial:
+        """Terms joined by + or -, with an optional sign before the first."""
         terms: list[tuple[Fraction, Monomial]] = []
-        negative = False
-        if self.take("-"):
-            negative = True
-        elif self.take("+"):
-            pass
+        sign = self.peek()
         while True:
+            if sign in ("+", "-"):
+                self.pos += 1
             c, m = self.parse_term()
-            terms.append((-c if negative else c, m))
-            nxt = self.peek()
-            if nxt == "+":
-                self.pos += 1
-                negative = False
-            elif nxt == "-":
-                self.pos += 1
-                negative = True
-            elif nxt == "":
-                break
-            else:
-                raise self.error(f"unexpected character {nxt!r}")
-        return Polynomial.from_terms(terms)
+            terms.append((-c if sign == "-" else c, m))
+            sign = self.peek()
+            if sign == "":
+                return Polynomial.from_terms(terms)
+            if sign not in ("+", "-"):
+                raise self.error(f"unexpected character {sign!r}")
 
     def parse_term(self) -> tuple[Fraction, Monomial]:
-        coeff = Fraction(1)
-        mono = ONE
-        first = True
-        while True:
-            c, m = self.parse_factor(first)
+        coeff, mono = self.parse_factor(first=True)
+        while self.take("*"):
+            c, m = self.parse_factor(first=False)
             coeff *= c
             mono = mono * m
-            first = False
-            if not self.take("*"):
-                return coeff, mono
+        return coeff, mono
 
     def parse_factor(self, first: bool) -> tuple[Fraction, Monomial]:
         ch = self.peek()
@@ -543,35 +538,29 @@ class _Parser:
                 raise self.error("zero denominator")
             self.expect(")")
             return Fraction(num, den), ONE
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return Fraction(self.integer()), ONE
-        if ch and ch in "xyzw":
-            v = self.parse_variable()
-            e = 1
-            if self.take("^"):
-                start = self.pos
-                e = self.integer()
-                if e <= 0:
-                    self.pos = start
-                    raise self.error("exponent must be a positive integer")
-            if v.kind == "w":
-                return Fraction(1), Monomial.build(w={v.index: e})
-            return Fraction(1), Monomial.build(**{v.kind: e})
         if ch == "":
-            raise self.error("unexpected end of input" if not first else "empty term")
-        raise self.error(f"unexpected character {ch!r}")
-
-    def parse_variable(self) -> Variable:
-        ch = self.text[self.pos]
+            raise self.error("empty term" if first else "unexpected end of input")
+        if ch not in "xyzw":
+            raise self.error(f"unexpected character {ch!r}")
         self.pos += 1
-        if ch in "xyz":
-            return Variable(ch)
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            raise self.error("w must carry an index, e.g. w0")
-        return W(int(self.text[digits : self.pos]))
+        if ch == "w":
+            index = _W_INDEX.match(self.text, self.pos)
+            if index is None:
+                raise self.error("w must carry an index, e.g. w0")
+            self.pos = index.end()
+            w = int(index.group())
+        e = 1
+        if self.take("^"):
+            start = self.pos
+            e = self.integer()
+            if e <= 0:
+                self.pos = start
+                raise self.error("exponent must be a positive integer")
+        if ch == "w":
+            return Fraction(1), Monomial.build(w={w: e})
+        return Fraction(1), Monomial.build(**{ch: e})
 
 
 def parse(text: str) -> Polynomial:
@@ -580,11 +569,6 @@ def parse(text: str) -> Polynomial:
     Raises ParseError (with position) on malformed input.
     """
     parser = _Parser(text)
-    parser.skip_ws()
-    if parser.pos == len(text):
+    if not parser.peek():
         raise ParseError("empty input", 0)
-    p = parser.parse_polynomial()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing input")
-    return p
+    return parser.parse_polynomial()

@@ -92,8 +92,8 @@ def equal_mod_I(p: Polynomial, q: Polynomial) -> bool:
 
 
 def r_add(a: RElement, b: RElement) -> RElement:
-    # normal forms are closed under addition
-    return RElement(a.poly + b.poly)
+    # normal forms are closed under addition, so the sum skips the check
+    return _r_element(a.poly + b.poly)
 
 
 def r_mul(a: RElement, b: RElement) -> RElement:
@@ -117,5 +117,8 @@ def divide_by_x(g: RElement) -> Optional[RElement]:
         source, wfact_source = _class_monomial(z, s - 1, n, d)  # I(m) - I(x)
         if source is None:
             return None
-        parts.append((t.coefficient * Fraction(wfact_source, wfact), source))
-    return RElement(Polynomial.from_terms(parts))
+        c = t.coefficient
+        c = Fraction(c.numerator * wfact_source, c.denominator * wfact)
+        parts.append((c, source))
+    # every source is a class monomial, which ``ideal`` proves standard
+    return _r_element(Polynomial.from_terms(parts))

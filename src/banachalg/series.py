@@ -73,6 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Optional, Union
 
 from .poly import Monomial, Polynomial
@@ -133,10 +134,7 @@ def solve_equation(order: int) -> TruncatedSeriesR:
 
 def expected_coefficient(k: int) -> RElement:
     """k! * w_k, the closed form the solver must reproduce."""
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
-    return project(Polynomial.monomial(Monomial.build(w={k: 1}), fact))
+    return project(Polynomial.monomial(Monomial.build(w={k: 1}), factorial(k)))
 
 
 def residual(f: TruncatedSeriesR) -> TruncatedSeriesR:

@@ -177,6 +177,14 @@ def test_parse_generator_id():
     ):
         with pytest.raises(ValueError, match=message):
             parse_generator_id(text)
+    # indices are read by the polynomial parser's integer rule: case,
+    # surrounding whitespace and a sign are kept, while digit separators
+    # and non-ASCII digits do not parse
+    assert parse_generator_id(" g1,4\t") is G(1, 4)
+    assert parse_generator_id("f+2") is F(2)
+    for text in ("F1_0", "G1,1_2", "F\u0663", "G\u0661,3", "F", "G1,", "F1,2"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_generator_id(text)
 
 
 # --- leading terms ----------------------------------------------------------

@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banachalg.poly import (
+    ONE,
     Monomial,
     ParseError,
     Polynomial,
     Term,
+    Variable,
+    W,
     compare,
     l1_norm,
     parse,
@@ -205,6 +208,184 @@ def test_roundtrip_seeded():
 @settings(max_examples=150)
 def test_roundtrip_hypothesis(p):
     assert parse(to_str(p)) == p
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        # superscript two, then Arabic-Indic three
+        ("x^\u00b2", "expected an integer (at position 2)"),
+        ("w\u0663", "w must carry an index, e.g. w0 (at position 1)"),
+        ("\u0663*x", "unexpected character '\u0663' (at position 0)"),
+        ("\u00b2", "unexpected character '\u00b2' (at position 0)"),
+    ],
+)
+def test_non_ascii_digits_are_parse_errors(bad, message):
+    # digits are ASCII 0-9: other Unicode digits are neither read as
+    # integers nor let through to int()
+    with pytest.raises(ParseError) as err:
+        parse(bad)
+    assert str(err.value) == message
+
+
+@given(st.text(max_size=30))
+@settings(max_examples=300)
+def test_parse_returns_a_polynomial_or_a_positioned_parse_error(text):
+    try:
+        p = parse(text)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        assert isinstance(p, Polynomial)
+
+
+class _LoopParser:
+    """The character-loop parser that the regex scanner replaced, kept as
+    the reference for ``test_scanner_matches_the_loop_parser``."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message):
+        return ParseError(message, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch):
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch):
+        if not self.take(ch):
+            raise self.error(f"expected '{ch}'")
+
+    def integer(self):
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] in "+-":
+            self.pos += 1
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == digits:
+            raise self.error("expected an integer")
+        return int(self.text[start : self.pos])
+
+    def parse_polynomial(self):
+        terms = []
+        negative = False
+        if self.take("-"):
+            negative = True
+        elif self.take("+"):
+            pass
+        while True:
+            c, m = self.parse_term()
+            terms.append((-c if negative else c, m))
+            nxt = self.peek()
+            if nxt == "+":
+                self.pos += 1
+                negative = False
+            elif nxt == "-":
+                self.pos += 1
+                negative = True
+            elif nxt == "":
+                break
+            else:
+                raise self.error(f"unexpected character {nxt!r}")
+        return Polynomial.from_terms(terms)
+
+    def parse_term(self):
+        coeff = Fraction(1)
+        mono = ONE
+        first = True
+        while True:
+            c, m = self.parse_factor(first)
+            coeff *= c
+            mono = mono * m
+            first = False
+            if not self.take("*"):
+                return coeff, mono
+
+    def parse_factor(self, first):
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            num = self.integer()
+            self.expect("/")
+            den = self.integer()
+            if den == 0:
+                raise self.error("zero denominator")
+            self.expect(")")
+            return Fraction(num, den), ONE
+        if ch.isdigit():
+            return Fraction(self.integer()), ONE
+        if ch and ch in "xyzw":
+            v = self.parse_variable()
+            e = 1
+            if self.take("^"):
+                start = self.pos
+                e = self.integer()
+                if e <= 0:
+                    self.pos = start
+                    raise self.error("exponent must be a positive integer")
+            if v.kind == "w":
+                return Fraction(1), Monomial.build(w={v.index: e})
+            return Fraction(1), Monomial.build(**{v.kind: e})
+        if ch == "":
+            raise self.error("unexpected end of input" if not first else "empty term")
+        raise self.error(f"unexpected character {ch!r}")
+
+    def parse_variable(self):
+        ch = self.text[self.pos]
+        self.pos += 1
+        if ch in "xyz":
+            return Variable(ch)
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == digits:
+            raise self.error("w must carry an index, e.g. w0")
+        return W(int(self.text[digits : self.pos]))
+
+
+def _loop_parse(text):
+    parser = _LoopParser(text)
+    parser.skip_ws()
+    if parser.pos == len(text):
+        raise ParseError("empty input", 0)
+    p = parser.parse_polynomial()
+    parser.skip_ws()
+    if parser.pos != len(text):
+        raise parser.error("trailing input")
+    return p
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as err:
+        return str(err), err.position
+
+
+_TOKENS = list("xyzw0123456789()/+-*^") + [" ", "\t", "w12", "(1/2)", "x^2"]
+
+
+def test_scanner_matches_the_loop_parser():
+    # on ASCII text the two parsers agree: the same polynomial, or a
+    # ParseError with the same message and position
+    rng = random.Random(15)
+    for _ in range(20000):
+        text = "".join(rng.choices(_TOKENS, k=rng.randint(0, 12)))
+        assert _outcome(parse, text) == _outcome(_loop_parse, text), text
 
 
 def test_monomial_degree_and_accessors():

@@ -69,7 +69,7 @@ def test_project_is_standard_without_the_check(monkeypatch):
     products = [r_mul(a, b) for a, b in pairs]
     assert all(is_standard(r.poly) for r in products)
 
-    # project and r_mul skip the check; the public constructor keeps it
+    # project, r_mul and divide_by_x skip the check; the public constructor keeps it
     def refuse(p):
         raise AssertionError("is_standard on the project path")
 
@@ -78,13 +78,29 @@ def test_project_is_standard_without_the_check(monkeypatch):
     assert [r_mul(a, b) for a, b in pairs] == products
     with pytest.raises(AssertionError):
         RElement(results[0].poly)
-    with pytest.raises(AssertionError):
-        divide_by_x(project(parse("x*w0")))
+    assert divide_by_x(project(parse("x*w0"))) == project(parse("w0"))
 
     monkeypatch.undo()
     for text in ("x*w1", "y*w0*w2", "w0*w2 + z^3", "x*y*w0*w3"):
         with pytest.raises(ValueError):
             RElement(parse(text))
+
+
+def test_r_add_and_divide_by_x_skip_the_check(monkeypatch):
+    # a sum of normal forms is one, and divide_by_x builds from class
+    # monomials, which are standard: neither runs is_standard again
+    rng = random.Random(44)
+    corpus = [project(random_polynomial(rng)) for _ in range(120)]
+    sums = [r_add(a, b) for a, b in zip(corpus, corpus[1:])]
+    quotients = [divide_by_x(r) for r in corpus]
+    assert all(is_standard(r.poly) for r in sums)
+    assert all(is_standard(h.poly) for h in quotients if h is not None)
+    assert 0 < sum(h is None for h in quotients) < len(quotients)
+    calls = []
+    monkeypatch.setattr("banachalg.quotient.is_standard", calls.append)
+    assert [r_add(a, b) for a, b in zip(corpus, corpus[1:])] == sums
+    assert [divide_by_x(r) for r in corpus] == quotients
+    assert calls == []
 
 
 def test_project_identifies_congruent_polynomials():
