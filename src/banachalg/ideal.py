@@ -46,17 +46,28 @@ Then std(m) is the standard monomial of the class I(m):
   * rho(m) = Wfact(std(m)) / Wfact(m), with Wfact = prod(index!^exp).
 
 ``_class_monomial`` is the one place that picks a class's monomial;
-``_standard_form`` and ``quotient.divide_by_x`` both go through it.
+``nf``, ``_standard_form`` and ``quotient.divide_by_x`` go through it.
 
 Each rewrite step lead -> scalar * tail scales the coefficient by exactly
 Wfact(tail) / Wfact(lead), a factor in (0, 1], so the scalars multiply up
-to rho and 0 < rho <= 1.  ``nf`` evaluates this closed form term by term in
-integer arithmetic: ``_standard_form`` returns rho as two integers, and a
-term c*m becomes one reduced fraction c.numerator * a / (c.denominator * b),
-none when rho = 1.  A term with s = 0 costs no factorial at all, and
-otherwise one pass over its w-part yields size, mass and Wfact(m).  The
-scaled terms go to ``Polynomial.from_terms``, which adds Fractions only
-where terms share std.
+to rho and 0 < rho <= 1.  ``nf`` evaluates this closed form one class at a
+time, in integer arithmetic.  The terms c_i*m_i of p that share a class
+I add up to
+
+    Wfact(std) * sum(c_i / Wfact(m_i)) * std,
+
+so ``nf`` keys each term by I(m) through ``_invariant``, whose one pass
+over the w-part also yields Wfact(m).  A class keeps its first term's
+Fraction and Wfact(m); a second term switches it to an integer pair
+holding the sum over a least common denominator.  Then ``_class_monomial``
+runs once per class whose sum is nonzero, and each class builds at most
+one reduced fraction, none for a lone term with rho = 1.  A class that
+sums to zero builds no monomial.  A term with s = 0 keeps its own monomial
+as its key, since I does not separate w0*w3 from w1*w2, and passes through
+as it is, with no factorial.  Distinct classes have distinct standard
+monomials, so the result takes one sort and no merge.  ``_standard_form``
+is the same closed form for one monomial, with rho as two integers; the
+tests keep the per-term route through it as the oracle for the class sums.
 
 A Gröbner basis at every index.  The certificate below checks w-indices up
 to its ``max_index``; the proof here covers all of them, and so covers
@@ -136,7 +147,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from typing import Callable, Iterator, Optional
 
 from .poly import (
@@ -464,16 +475,46 @@ def normal_form(
 
 
 def nf(p: Polynomial) -> Polynomial:
-    """The normal form of p by the closed form; equals ``normal_form(p)[0]``.
-    See the module docstring for the arithmetic."""
-    pairs = []
+    """The normal form of p by the closed form, one class at a time; equals
+    ``normal_form(p)[0]``.  See the module docstring for the arithmetic."""
+    out: list[Term] = []
+    # I(m) -> (c, Wfact(m)) while the class has one term, then
+    # [num, den] with num/den = sum of c/Wfact(m) over its terms
+    classes: dict = {}
     for t in p.terms:
-        a, b, std = _standard_form(t.monomial)
+        m = t.monomial
+        if not (m.x_exp or m.y_exp or m.z_exp > 1):
+            out.append(t)  # s = 0: no rule applies, and m is its own class
+            continue
+        inv, wfact = _invariant(m)
         c = t.coefficient
-        if a != b:
-            c = Fraction(c.numerator * a, c.denominator * b)
-        pairs.append((c, std))
-    return Polynomial.from_terms(pairs)
+        acc = classes.get(inv)
+        if acc is None:
+            classes[inv] = (c, wfact)
+            continue
+        if acc.__class__ is tuple:
+            c0, w0 = acc
+            acc = classes[inv] = [c0.numerator, c0.denominator * w0]
+        num, den = acc
+        den_t = c.denominator * wfact
+        g = gcd(den, den_t)
+        acc[0] = num * (den_t // g) + c.numerator * (den // g)
+        acc[1] = den // g * den_t
+    for inv, acc in classes.items():
+        if acc.__class__ is tuple:
+            c, wfact = acc
+            std, wfact_std = _class_monomial(*inv)
+            if wfact_std != wfact:
+                c = Fraction(c.numerator * wfact_std, c.denominator * wfact)
+        elif acc[0]:
+            std, wfact_std = _class_monomial(*inv)
+            c = Fraction(acc[0] * wfact_std, acc[1])
+        else:
+            continue  # the class sums to zero
+        out.append(_term(c, std))
+    # distinct classes have distinct monomials, so the keys are distinct
+    out.sort(key=lambda t: t.monomial.key, reverse=True)
+    return Polynomial(tuple(out))
 
 
 def reduce_by_single(p: Polynomial, gid: GeneratorId) -> tuple[Polynomial, Polynomial]:

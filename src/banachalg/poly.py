@@ -30,11 +30,13 @@ the checks would dominate their cost.
 Terms, like Monomials, are validated only at the public constructor
 ``Term(c, m)``, which coerces c to ``Fraction`` and rejects 0.
 ``Polynomial.from_terms`` is the one place that merges (coefficient,
-monomial) pairs: it coerces, adds only where a monomial repeats, drops
-zeros once at the end and sorts, before it builds any Term.  Negatives,
-nonzero scalar multiples and products of nonzero Fractions are nonzero
-Fractions, so ``from_terms``, ``-p``, ``p * c``, ``mul_term`` and
-``ideal.generator`` build their Terms with the private ``_term``.
+monomial) pairs by monomial: it coerces, adds only where a monomial
+repeats, drops zeros once at the end and sorts, before it builds any Term.
+``ideal.nf`` merges by class instead, before any class has a monomial, and
+sorts its one term per class itself.  Negatives, nonzero scalar multiples
+and products of nonzero Fractions are nonzero Fractions, so ``from_terms``,
+``-p``, ``p * c``, ``mul_term``, ``ideal.nf`` and ``ideal.generator`` build
+their Terms with the private ``_term``.
 
 A polynomial stores its terms sorted strictly decreasing in that order, so
 the leading term is ``terms[0]`` and printing is canonical.  The l1 norm
@@ -453,7 +455,11 @@ def format_term(c: Fraction, m: Monomial, leading: bool = True) -> str:
 def to_str(p: Polynomial) -> str:
     """Canonical rendering, terms in decreasing monomial order.
 
-    ``parse(to_str(p)) == p`` for every polynomial.
+    ``parse(to_str(p)) == p`` for every polynomial.  Raises ValueError when
+    a coefficient has more digits than the interpreter converts to text
+    (``sys.get_int_max_str_digits()``, 4300 by default), as the exact
+    scalar of ``nf(y*w0*w20000)`` does; the command line lifts that limit
+    while it runs.
     """
     if p.is_zero():
         return "0"
@@ -501,8 +507,18 @@ class _Parser:
             if self.text.startswith(("+", "-"), self.pos):
                 self.pos += 1  # the error points past the sign
             raise self.error("expected an integer")
+        return self.read(match)
+
+    def read(self, match: re.Match) -> int:
+        """The integer that ``match`` scanned; moves past it.  An integer
+        with more digits than the interpreter converts
+        (``sys.get_int_max_str_digits``) raises ParseError at its start."""
+        try:
+            value = int(match.group())
+        except ValueError:
+            raise self.error("integer longer than the int-str digit limit") from None
         self.pos = match.end()
-        return int(match.group())
+        return value
 
     def parse_polynomial(self) -> Polynomial:
         """Terms joined by + or -, with an optional sign before the first."""
@@ -549,8 +565,7 @@ class _Parser:
             index = _W_INDEX.match(self.text, self.pos)
             if index is None:
                 raise self.error("w must carry an index, e.g. w0")
-            self.pos = index.end()
-            w = int(index.group())
+            w = self.read(index)
         e = 1
         if self.take("^"):
             start = self.pos
@@ -566,7 +581,9 @@ class _Parser:
 def parse(text: str) -> Polynomial:
     """Parse the text grammar above into a canonical Polynomial.
 
-    Raises ParseError (with position) on malformed input.
+    Raises ParseError (with position) on malformed input, and at its start
+    on an integer with more digits than the interpreter converts
+    (``sys.get_int_max_str_digits()``, 4300 by default).
     """
     parser = _Parser(text)
     if not parser.peek():

@@ -511,24 +511,25 @@ def test_nf_and_project_do_not_use_the_rewriting_engine(monkeypatch):
     assert str(project(parse("y*w0*w2"))) == "(1/2)*y*w1^2"
 
 
-def test_nf_merges_through_from_terms(monkeypatch):
+def test_nf_builds_one_monomial_per_nonzero_class(monkeypatch):
+    # z^2*w1 and -y*w0^2 share a class and cancel, so only the class of
+    # x*w0*w3 reaches _class_monomial
     p = parse("z^2*w1 + x*w0*w3 - y*w0^2")
     calls = []
-    build = Polynomial.from_terms
+    pick = ideal._class_monomial
 
-    def spy(pairs):
-        pairs = list(pairs)
-        calls.append(pairs)
-        return build(pairs)
+    def spy(*inv):
+        calls.append(inv)
+        return pick(*inv)
 
-    monkeypatch.setattr(Polynomial, "from_terms", staticmethod(spy))
+    monkeypatch.setattr("banachalg.ideal._class_monomial", spy)
     assert to_str(nf(p)) == "(1/6)*y*w1^2"
-    (pairs,) = calls
-    assert [to_str(build([pair])) for pair in pairs] == ["y*w0^2", "(1/6)*y*w1^2", "-y*w0^2"]
+    assert calls == [ideal._invariant(m("x*w0*w3"))[0]]
 
 
 def _reference_nf(p):
-    """The route through rho as a Fraction, c * rho and from_terms."""
+    """The per-term route, kept as the oracle for nf's class sums: rho of
+    each term as a Fraction, then from_terms merges by monomial."""
     pairs = []
     for t in p.terms:
         a, b, std = _standard_form(t.monomial)
@@ -561,28 +562,68 @@ def _nf_corpus(rng):
     return corpus, members
 
 
+def _assert_canonical(out):
+    keys = [t.monomial.key for t in out.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    for t in out.terms:
+        assert type(t) is Term and type(t.coefficient) is Fraction
+        assert t.coefficient != 0
+
+
 def test_nf_is_canonical_and_matches_the_fraction_route():
     corpus, members = _nf_corpus(random.Random(909))
     for p in corpus:
         out = nf(p)
         assert out == _reference_nf(p)
-        monomials = [t.monomial for t in out.terms]
-        assert all(a.key > b.key for a, b in zip(monomials, monomials[1:]))
-        for t in out.terms:
-            assert type(t) is Term and type(t.coefficient) is Fraction
-            assert t.coefficient != 0
-            assert is_standard_monomial(t.monomial)
+        _assert_canonical(out)
+        assert all(is_standard_monomial(t.monomial) for t in out.terms)
     assert all(nf(p).is_zero() for p in members)
     assert sum(not p.is_zero() for p in members) > 50
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("z^2*w1 - y*w0^2", "0"),  # one class, rho = 1 on both terms
+        ("z^2*w1 - y*w0^2 + 2*y*w0^2", "2*y*w0^2"),
+        ("6*x*w0*w3 - y*w1^2", "0"),  # one class, Wfact 6 against 1
+        ("6*x*w0*w3 - 2*y*w1^2 + (1/3)*x*w1*w2", "-(5/6)*y*w1^2"),
+        ("(1/2)*x*w0*w3 + (1/3)*x*w1*w2", "(1/4)*y*w1^2"),
+        ("w0*w3 + w1*w2", "w0*w3 + w1*w2"),  # s = 0: two classes, not one
+        ("w0*w3 - w1*w2", "w0*w3 - w1*w2"),
+        ("z*w0*w3 - z*w1*w2 + z^3", "z*x*w0 + z*w0*w3 - z*w1*w2"),
+    ],
+)
+def test_nf_sums_each_class_once(text, expected):
+    p = parse(text)
+    out = nf(p)
+    assert to_str(out) == expected
+    assert out == _reference_nf(p)
+    _assert_canonical(out)
+
+
+def test_nf_class_sums_match_the_per_term_route_on_a_dense_power():
+    rng = random.Random(1818)
+    base = Polynomial.from_terms(
+        (random_coefficient(rng), mono)
+        for mono in [m("z"), m("x"), m("y")] + [m(f"w{i}") for i in range(9)]
+    )
+    p = Polynomial.constant(1)
+    for _ in range(5):
+        p = p * base
+    out = nf(p)
+    assert out == _reference_nf(p) == normal_form(p)[0]
+    assert len(out.terms) < len(p.terms)
+    _assert_canonical(out)
+
+
 def test_nf_goes_through_the_closed_form(monkeypatch):
     # keeps test_certificate_does_not_use_the_closed_form from passing
-    # vacuously: patching _standard_form does reach nf
+    # vacuously: patching _class_monomial does reach nf
     def refuse(*args, **kwargs):
         raise AssertionError("closed form called")
 
-    monkeypatch.setattr("banachalg.ideal._standard_form", refuse)
+    monkeypatch.setattr("banachalg.ideal._class_monomial", refuse)
     with pytest.raises(AssertionError, match="closed form called"):
         nf(parse("x*w1"))
 
@@ -606,8 +647,8 @@ def test_certificate_does_not_use_the_closed_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("closed form called")
 
-    monkeypatch.setattr("banachalg.ideal.nf", refuse)
-    monkeypatch.setattr("banachalg.ideal._standard_form", refuse)
+    for name in ("nf", "_standard_form", "_invariant", "_class_monomial"):
+        monkeypatch.setattr(f"banachalg.ideal.{name}", refuse)
     assert groebner_certificate(4).all_passed
 
 

@@ -3,12 +3,14 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banachalg.ideal import nf
 from banachalg.poly import (
     ONE,
     Monomial,
@@ -226,6 +228,51 @@ def test_non_ascii_digits_are_parse_errors(bad, message):
     with pytest.raises(ParseError) as err:
         parse(bad)
     assert str(err.value) == message
+
+
+@pytest.fixture
+def int_str_limit():
+    """The interpreter's default int-to-str digit limit, 4300, for one test;
+    the caller's limit is restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("1" * 5000, 0),  # a coefficient
+        ("x^" + "1" * 5000, 2),  # an exponent
+        ("w" + "1" * 5000, 1),  # a w-index
+        ("y + (-" + "1" * 5000 + "/2)", 5),  # a signed numerator
+        ("(1/" + "2" * 5000 + ")*x", 3),  # a denominator
+    ],
+)
+def test_parse_rejects_integers_beyond_the_int_str_digit_limit(int_str_limit, text, pos):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == pos
+    assert "digit limit" in str(err.value)
+    assert sys.get_int_max_str_digits() == int_str_limit
+
+
+def test_parse_reads_integers_up_to_the_int_str_digit_limit(int_str_limit):
+    digits = "1" * int_str_limit
+    assert parse(digits) == Polynomial.constant(int(digits))
+    assert parse("w" + digits).terms[0].monomial.w == ((int(digits), 1),)
+
+
+def test_to_str_raises_beyond_the_int_str_digit_limit(int_str_limit):
+    # the exact scalar of y*w0*w20000 has more than 4300 digits; the
+    # command line lifts the limit, a library caller sees ValueError
+    p = nf(parse("y*w0*w20000"))
+    with pytest.raises(ValueError, match="int_max_str_digits"):
+        to_str(p)
+    assert sys.get_int_max_str_digits() == int_str_limit
 
 
 @given(st.text(max_size=30))
