@@ -14,7 +14,8 @@ leading monomials are z^2, x*w_{k+1} and y*w_k*w_{l+1}, so a monomial is
 unique normal form supported on standard monomials.
 
 ``_rewrite_rule(gid)`` is the one place that writes these formulas, as
-(lead, lc, tail, tc); ``generator`` builds its Polynomial from that rule.
+(lead, lc, tail, tc) with integer coefficients; ``generator`` builds its
+Polynomial from that rule, and is the one place that makes them Fractions.
 ``divisor_generators(m)`` lists the generators whose leading monomial
 divides m, largest leading monomial first, in an order written out rather
 than sorted.  The monomial order compares total degree, then z, x and y,
@@ -118,17 +119,26 @@ it ``ReductionLimitError`` signals a broken rewrite rule.
 the proof above and of the closed form that rests on it.  It uses neither
 ``nf`` nor ``normal_form`` for the S-polynomials of phase (iv), and it
 compares no invariants.  Instead it substitutes w_i = u_i / i!.  Each
-generator lc*lm + tc*tm satisfies the *rescaling lemma* lc/Wfact(lm) ==
--tc/Wfact(tm) =: kappa (F_j: -j/j! = -1/(j-1)!; G_{k,l}: (l+1)/(k!(l+1)!) =
-(k+1)/(l!(k+1)!); F0: -1 = -1), which the certificate checks, so the
-generator equals kappa * (U(lm) - U(tm)) with U(m) = Wfact(m)*m the
-monomial m in the u-coordinates.  The ideal is then a pure difference
-binomial ideal (Eisenbud & Sturmfels), and the S-polynomial of two
-generators is K * (U(m1) - U(m2)) for two monomials m1, m2 and one scalar
-K.  A rewrite step m -> (m/lm)*tm changes U(m) by a multiple of a
-generator, with no scalar to track, and lowers m.  So the S-polynomial
-reduces to 0 when the rewrite chains of m1 and m2 end in the same monomial
-(Buchberger's criterion); the certificate follows both chains step by step.
+generator lc*lm + tc*tm, with the integers lc and tc of its rewrite rule,
+satisfies the *rescaling lemma*
+
+    lc * Wfact(tm) == -tc * Wfact(lm)
+
+    F_j:      -j * (j-1)! = -j!
+    G_{k,l}:  (l+1) * l! * (k+1)! = (k+1) * k! * (l+1)!
+    F0:       -1 = -1
+
+which the certificate checks in integers.  So kappa = lc / Wfact(lm) =
+-tc / Wfact(tm), and the generator equals kappa * (U(lm) - U(tm)) with
+U(m) = Wfact(m)*m the monomial m in the u-coordinates.  The ideal is then
+a pure difference binomial ideal (Eisenbud & Sturmfels), and the
+S-polynomial of two generators is K * (U(m1) - U(m2)) for two monomials
+m1, m2 and one scalar K.  Phase (iv) prints that S-polynomial from the
+integer products of the two rules' coefficients.  A rewrite step
+m -> (m/lm)*tm changes U(m) by a multiple of a generator, with no scalar to
+track, and lowers m.  So the S-polynomial reduces to 0 when the rewrite
+chains of m1 and m2 end in the same monomial (Buchberger's criterion); the
+certificate follows both chains step by step.
 Chain ends are memoised within one call.
 
 S-polynomials use the fraction-free convention
@@ -157,6 +167,7 @@ from .poly import (
     _INTEGER,
     _KEY,
     _monomial,
+    _polynomial,
     _rewrite_monomial,
     _term,
     format_term,
@@ -221,19 +232,29 @@ def parse_generator_id(text: str) -> GeneratorId:
     """F<j> or G<k>,<l>, case-insensitive, each index read by the polynomial
     parser's integer rule (an optional sign, then ASCII digits).  Text of
     another shape raises "cannot parse"; a well-shaped id out of range raises
-    the constructor's own error."""
+    the constructor's own error.  An index with more digits than the
+    interpreter converts (``sys.get_int_max_str_digits()``, 4300 by default)
+    raises a ValueError that names the id and that limit, as ``parse`` does
+    for such an integer."""
     text = text.strip()
     kind = text[:1].upper()
     args = [_INTEGER.fullmatch(a.strip()) for a in text[1:].split(",")]
     if (kind, len(args)) in (("F", 1), ("G", 2)) and all(args):
-        return _generator_id(kind, *(int(a.group()) for a in args))
+        try:
+            indices = [int(a.group()) for a in args]
+        except ValueError:
+            raise ValueError(
+                f"generator id {text!r} has an index longer than the int-str digit limit"
+            ) from None
+        return _generator_id(kind, *indices)
     raise ValueError(f"cannot parse generator id {text!r} (expected F<j> or G<k>,<l>)")
 
 
 def generator(gid: GeneratorId) -> Polynomial:
-    """The exact binomial for the id, read off its rewrite rule."""
+    """The exact binomial for the id, read off its rewrite rule: the one
+    place where a rule's integer coefficients become Fractions."""
     lead, lc, tail, tc = _rewrite_rule(gid)
-    return Polynomial((_term(lc, lead), _term(tc, tail)))
+    return _polynomial((_term(Fraction(lc), lead), _term(Fraction(tc), tail)))
 
 
 def leading_term(p: Polynomial) -> Term:
@@ -241,27 +262,25 @@ def leading_term(p: Polynomial) -> Term:
     return p.leading_term()
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 @lru_cache(maxsize=None)
-def _rewrite_rule(gid: GeneratorId) -> tuple[Monomial, Fraction, Monomial, Fraction]:
+def _rewrite_rule(gid: GeneratorId) -> tuple[Monomial, int, Monomial, int]:
     """(leading monomial, leading coeff, tail monomial, tail coeff): the one
     place that writes the F0, F_j and G_{k,l} formulas.
 
-    Every generator is a binomial, so a reduction step is one division, one
-    multiplication and one coefficient update.
+    The coefficients are the generators' integers; ``generator`` is the one
+    place that turns them into Fractions.  Every generator is a binomial,
+    so a reduction step is one division, one multiplication and one
+    coefficient update.
     """
     a, b = gid.a, gid.b
     if gid.kind == "G":  # (b+1)*y*w_a*w_{b+1} - (a+1)*y*w_b*w_{a+1}
         lead = _monomial(0, 0, 1, ((a, 1), (b + 1, 1)))
         tail_w = ((b, 2),) if b == a + 1 else ((a + 1, 1), (b, 1))
-        return lead, Fraction(b + 1), _monomial(0, 0, 1, tail_w), Fraction(-a - 1)
+        return lead, b + 1, _monomial(0, 0, 1, tail_w), -a - 1
     if a == 0:  # x*w0 - z^2
-        return _monomial(2, 0, 0, ()), Fraction(-1), _monomial(0, 1, 0, ((0, 1),)), _ONE
+        return _monomial(2, 0, 0, ()), -1, _monomial(0, 1, 0, ((0, 1),)), 1
     # y*w_{a-1} - a*x*w_a
-    return _monomial(0, 1, 0, ((a, 1),)), Fraction(-a), _monomial(0, 0, 1, ((a - 1, 1),)), _ONE
+    return _monomial(0, 1, 0, ((a, 1),)), -a, _monomial(0, 0, 1, ((a - 1, 1),)), 1
 
 
 def _rewrite_step(
@@ -274,7 +293,7 @@ def _rewrite_step(
     multiplier = m / lm
     scalar = work.pop(m) / lc
     target = multiplier * tail_m
-    c = work.get(target, _ZERO) - scalar * tail_c
+    c = work.get(target, 0) - scalar * tail_c
     if c:
         work[target] = c
     else:
@@ -514,7 +533,7 @@ def nf(p: Polynomial) -> Polynomial:
         out.append(_term(c, std))
     # distinct classes have distinct monomials, so the keys are distinct
     out.sort(key=lambda t: t.monomial.key, reverse=True)
-    return Polynomial(tuple(out))
+    return _polynomial(tuple(out))
 
 
 def reduce_by_single(p: Polynomial, gid: GeneratorId) -> tuple[Polynomial, Polynomial]:
@@ -718,13 +737,13 @@ def groebner_certificate(max_index: int) -> CertificateReport:
 
 
 def _lemma_holds(gid: GeneratorId, cache: dict[GeneratorId, bool]) -> bool:
-    """The rescaling lemma lc/Wfact(lm) == -tc/Wfact(tm) for generator(gid):
-    after w_i = u_i/i! the generator is a scalar multiple of a difference of
-    two monomials."""
+    """The rescaling lemma lc*Wfact(tm) == -tc*Wfact(lm) for generator(gid),
+    in integers: after w_i = u_i/i! the generator is a scalar multiple of a
+    difference of two monomials."""
     ok = cache.get(gid)
     if ok is None:
         lm, lc, tm, tc = _rewrite_rule(gid)
-        ok = cache[gid] = lc / _wfact(lm.w) == -tc / _wfact(tm.w)
+        ok = cache[gid] = lc * _wfact(tm.w) == -tc * _wfact(lm.w)
     return ok
 
 
@@ -746,7 +765,7 @@ def _chain_end(m: Monomial, ends: dict[Monomial, Monomial]) -> Monomial:
     return end
 
 
-def _binomial_str(c1: Fraction, m1: Monomial, c2: Fraction, m2: Monomial) -> str:
+def _binomial_str(c1: int, m1: Monomial, c2: int, m2: Monomial) -> str:
     """``to_str`` of c1*m1 + c2*m2 for nonzero c1, c2, without building the
     Polynomial."""
     if m1 == m2:

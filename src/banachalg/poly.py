@@ -36,7 +36,16 @@ repeats, drops zeros once at the end and sorts, before it builds any Term.
 sorts its one term per class itself.  Negatives, nonzero scalar multiples
 and products of nonzero Fractions are nonzero Fractions, so ``from_terms``,
 ``-p``, ``p * c``, ``mul_term``, ``ideal.nf`` and ``ideal.generator`` build
-their Terms with the private ``_term``.
+their Terms with the private ``_term``; ``ideal.generator`` first turns
+its rule's integer coefficients into Fractions.
+
+Polynomials, likewise, are validated only at the public constructor
+``Polynomial(terms)``, which rejects anything but a tuple of Terms whose
+monomials strictly decrease in the monomial order.  ``from_terms`` and
+``ideal.nf`` sort their terms, ``zero`` has none, ``-p`` and ``p * c``
+keep the monomials of p, ``mul_term`` multiplies them all by one monomial,
+which keeps their order, and ``ideal.generator`` lists lead before tail;
+so these build with the private, unchecked ``_polynomial``.
 
 A polynomial stores its terms sorted strictly decreasing in that order, so
 the leading term is ``terms[0]`` and printing is canonical.  The l1 norm
@@ -325,12 +334,25 @@ def _term(c: Fraction, m: Monomial) -> Term:
 class Polynomial:
     """Finite sum of terms, sorted strictly decreasing in the monomial order.
 
-    The zero polynomial has an empty term tuple.  Use ``from_terms`` (or the
-    arithmetic operators) to build instances; it merges duplicate monomials
-    and drops zero coefficients.
+    The zero polynomial has an empty term tuple.  The public constructor
+    takes a tuple of Terms already in that order and raises otherwise; use
+    ``from_terms`` (or the arithmetic operators) to merge duplicate
+    monomials, drop zero coefficients and sort.  The operations that keep
+    the order by construction build through the private, unchecked
+    ``_polynomial`` (see the module docstring).
     """
 
     terms: tuple[Term, ...] = ()
+
+    def __post_init__(self):
+        terms = self.terms
+        if not isinstance(terms, tuple) or not all(isinstance(t, Term) for t in terms):
+            raise TypeError("Polynomial takes a tuple of Terms; use from_terms to merge pairs")
+        if any(s.monomial.key <= t.monomial.key for s, t in zip(terms, terms[1:])):
+            raise ValueError(
+                "Polynomial terms must strictly decrease in the monomial order; "
+                "use from_terms to merge and sort"
+            )
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Rational, Monomial]]) -> Polynomial:
@@ -341,11 +363,11 @@ class Polynomial:
             prev = acc.get(m)
             acc[m] = c if prev is None else prev + c
         ordered = sorted((m for m, c in acc.items() if c), key=_KEY, reverse=True)
-        return Polynomial(tuple(_term(acc[m], m) for m in ordered))
+        return _polynomial(tuple(_term(acc[m], m) for m in ordered))
 
     @staticmethod
     def zero() -> Polynomial:
-        return Polynomial(())
+        return _polynomial(())
 
     @staticmethod
     def constant(c: Rational) -> Polynomial:
@@ -374,7 +396,7 @@ class Polynomial:
         )
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(tuple(_term(-t.coefficient, t.monomial) for t in self.terms))
+        return _polynomial(tuple(_term(-t.coefficient, t.monomial) for t in self.terms))
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
@@ -384,7 +406,7 @@ class Polynomial:
             c = Fraction(other)
             if c == 0:
                 return Polynomial.zero()
-            return Polynomial(
+            return _polynomial(
                 tuple(_term(t.coefficient * c, t.monomial) for t in self.terms)
             )
         return Polynomial.from_terms(
@@ -400,12 +422,20 @@ class Polynomial:
         c = Fraction(c)
         if c == 0:
             return Polynomial.zero()
-        return Polynomial(
+        return _polynomial(
             tuple(_term(t.coefficient * c, t.monomial * m) for t in self.terms)
         )
 
     def __str__(self) -> str:
         return to_str(self)
+
+
+def _polynomial(terms: tuple[Term, ...]) -> Polynomial:
+    """The unchecked constructor, for Terms that strictly decrease in the
+    monomial order by construction."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "terms", terms)
+    return p
 
 
 def l1_norm(p: Polynomial) -> Fraction:

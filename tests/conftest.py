@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,18 @@ def broken_f0(monkeypatch):
         return (lm, lc, lm, tc) if gid == F(0) else (lm, lc, tm, tc)
 
     monkeypatch.setattr("banachalg.ideal._rewrite_rule", broken)
+
+
+@pytest.fixture
+def int_str_limit():
+    """The interpreter's default int-to-str digit limit, 4300, for one test;
+    the caller's limit is restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
 
 
 def subprocess_env() -> dict:

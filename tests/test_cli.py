@@ -69,6 +69,16 @@ def test_spoly_bad_id(capsys):
     assert "cannot parse" in err
 
 
+def test_spoly_reads_ids_beyond_the_int_str_digit_limit(capsys, int_str_limit):
+    # the command line lifts the limit while it runs, so a 5000-digit index
+    # parses and prints
+    j = "1" * 5000
+    code, out, err = run(capsys, "spoly", "F1", "F" + j)
+    assert (code, err) == (0, "")
+    assert out == f"{j}*y*w0*w{j} - y*w1*w{j[:-1]}0\n"
+    assert sys.get_int_max_str_digits() == int_str_limit
+
+
 @pytest.mark.parametrize("bad", ["G1,1", "G2,1", "F-1"])
 def test_spoly_id_out_of_range(capsys, bad):
     # the id has the right shape, so the error names the range, not the syntax

@@ -187,6 +187,18 @@ def test_parse_generator_id():
             parse_generator_id(text)
 
 
+@pytest.mark.parametrize("text", ["F" + "1" * 5000, "G1," + "1" * 5000], ids=["F", "G"])
+def test_parse_generator_id_beyond_the_int_str_digit_limit(int_str_limit, text):
+    # neither "cannot parse" nor a range error: the message names the id
+    # and the limit, and the limit itself is left as it was
+    with pytest.raises(ValueError) as err:
+        parse_generator_id(text)
+    message = str(err.value)
+    assert message.startswith(f"generator id {text!r} ")
+    assert message.endswith("longer than the int-str digit limit")
+    assert sys.get_int_max_str_digits() == int_str_limit
+
+
 # --- leading terms ----------------------------------------------------------
 
 
@@ -836,10 +848,12 @@ def test_rewrite_rules_match_the_written_formulas():
     for gid in ids:
         expected = _old_generator(gid)
         assert generator(gid) == expected
+        # the rule holds integers; generator() is where they become Fractions
+        assert all(type(t.coefficient) is Fraction for t in generator(gid).terms)
         lead, tail = expected.terms
         rule = ideal._rewrite_rule(gid)
         assert rule == (lead.monomial, lead.coefficient, tail.monomial, tail.coefficient)
-        assert all(type(c) is Fraction for c in rule[1::2])
+        assert all(type(c) is int for c in rule[1::2])
         for got, want in zip(rule[::2], (lead.monomial, tail.monomial)):
             assert (got.key, hash(got), got.w) == (want.key, hash(want), want.w)
 
@@ -923,15 +937,19 @@ def test_certificate_does_not_use_the_rewriting_engine(monkeypatch):
     assert groebner_certificate(8).all_passed
 
 
-def test_certificate_catches_a_wrong_generator(monkeypatch):
-    # F3 = y*w2 - 3*x*w3 with its tail coefficient perturbed breaks the
-    # rescaling lemma; the chains alone read only monomials and would not
-    # notice
+@pytest.mark.parametrize(
+    "d_lc, d_tc", [(1, 0), (-1, 0), (0, 1), (0, -1)], ids=["lc+1", "lc-1", "tc+1", "tc-1"]
+)
+@pytest.mark.parametrize("wrong", [F(3), G(1, 3)], ids=str)
+def test_certificate_catches_a_wrong_generator(monkeypatch, wrong, d_lc, d_tc):
+    # F3 = y*w2 - 3*x*w3 or G1,3 = 4*y*w1*w4 - 2*y*w2*w3 with one integer
+    # coefficient off by one breaks the rescaling lemma; the chains alone
+    # read only monomials and would not notice
     rule = ideal._rewrite_rule
 
     def perturbed(gid):
         lm, lc, tm, tc = rule(gid)
-        return (lm, lc, tm, tc + 1) if gid == F(3) else (lm, lc, tm, tc)
+        return (lm, lc + d_lc, tm, tc + d_tc) if gid == wrong else (lm, lc, tm, tc)
 
     monkeypatch.setattr("banachalg.ideal._rewrite_rule", perturbed)
     report = groebner_certificate(5)
@@ -940,4 +958,21 @@ def test_certificate_catches_a_wrong_generator(monkeypatch):
     pairs = list(ideal._noncoprime_pairs(5))
     failing = {pair for row, pair in zip(rows, pairs) if not row.passed}
     assert failing
-    assert failing == {pair for pair in pairs if F(3) in pair}
+    assert failing == {pair for pair in pairs if wrong in pair}
+
+
+def test_phase_iv_prints_integer_products(monkeypatch):
+    # the S-pair coefficients are products of the rules' integers, formed
+    # and printed without a Fraction
+    seen = []
+    binomial_str = ideal._binomial_str
+
+    def spy(c1, m1, c2, m2):
+        seen.append((type(c1), type(c2)))
+        return binomial_str(c1, m1, c2, m2)
+
+    monkeypatch.setattr("banachalg.ideal._binomial_str", spy)
+    report = groebner_certificate(6)
+    assert report.all_passed
+    assert len(seen) == len(_phase_iv_rows(report)) > 0
+    assert set(seen) == {(int, int)}

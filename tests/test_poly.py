@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banachalg.ideal import nf
+from banachalg.ideal import G, generator, nf
 from banachalg.poly import (
     ONE,
     Monomial,
@@ -228,18 +228,6 @@ def test_non_ascii_digits_are_parse_errors(bad, message):
     with pytest.raises(ParseError) as err:
         parse(bad)
     assert str(err.value) == message
-
-
-@pytest.fixture
-def int_str_limit():
-    """The interpreter's default int-to-str digit limit, 4300, for one test;
-    the caller's limit is restored after it."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("no int-to-str digit limit")
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(previous)
 
 
 @pytest.mark.parametrize(
@@ -630,6 +618,37 @@ def test_polynomial_operations_keep_nonzero_fraction_terms():
     assert -p == Polynomial.from_terms((-t.coefficient, t.monomial) for t in p.terms)
     assert p.mul_term(2, m("w1")) == p * parse("2*w1")
     assert (p * 0).is_zero() and p.mul_term(0, m("w1")).is_zero()
+
+
+def test_polynomial_constructor_checks_its_terms():
+    (x,) = parse("x").terms
+    (z,) = parse("z").terms
+    assert Polynomial((z, x)) == parse("z + x") and Polynomial(()).is_zero()
+    # out of order or repeated: from_terms would sort and merge these
+    for bad in ((x, z), (x, x), (z, x, x), (z, Term(-1, z.monomial))):
+        with pytest.raises(ValueError, match="strictly decrease"):
+            Polynomial(bad)
+    for bad in ([z, x], (z, (1, x.monomial)), (x.monomial,), (1,)):
+        with pytest.raises(TypeError, match="tuple of Terms"):
+            Polynomial(bad)
+
+
+def test_internal_constructions_skip_the_polynomial_check(monkeypatch):
+    p = parse("2*x*w2 - (1/3)*y*w1*w3 + z^2")
+    calls = []
+    monkeypatch.setattr(Polynomial, "__post_init__", lambda self: calls.append(self))
+    built = [
+        Polynomial.from_terms([(1, m("x")), (2, m("z"))]),
+        Polynomial.zero(),
+        -p,
+        p * 3,
+        p.mul_term(Fraction(-1, 4), m("w1")),
+        generator(G(1, 3)),
+        nf(p),
+    ]
+    assert calls == []
+    assert all(type(q) is Polynomial for q in built)
+    assert Polynomial(p.terms) == p and calls == [p]  # the spy is live
 
 
 # --- the term merge -----------------------------------------------------------
