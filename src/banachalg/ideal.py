@@ -47,7 +47,8 @@ Then std(m) is the standard monomial of the class I(m):
   * rho(m) = Wfact(std(m)) / Wfact(m), with Wfact = prod(index!^exp).
 
 ``_class_monomial`` is the one place that picks a class's monomial;
-``nf``, ``_standard_form`` and ``quotient.divide_by_x`` go through it.
+``nf``, ``quotient.r_mul``, ``_standard_form`` and ``quotient.divide_by_x``
+go through it.
 
 Each rewrite step lead -> scalar * tail scales the coefficient by exactly
 Wfact(tail) / Wfact(lead), a factor in (0, 1], so the scalars multiply up
@@ -58,17 +59,51 @@ I add up to
     Wfact(std) * sum(c_i / Wfact(m_i)) * std,
 
 so ``nf`` keys each term by I(m) through ``_invariant``, whose one pass
-over the w-part also yields Wfact(m).  A class keeps its first term's
-Fraction and Wfact(m); a second term switches it to an integer pair
-holding the sum over a least common denominator.  Then ``_class_monomial``
-runs once per class whose sum is nonzero, and each class builds at most
-one reduced fraction, none for a lone term with rho = 1.  A class that
-sums to zero builds no monomial.  A term with s = 0 keeps its own monomial
-as its key, since I does not separate w0*w3 from w1*w2, and passes through
-as it is, with no factorial.  Distinct classes have distinct standard
-monomials, so the result takes one sort and no merge.  ``_standard_form``
-is the same closed form for one monomial, with rho as two integers; the
-tests keep the per-term route through it as the oracle for the class sums.
+over the w-part also yields Wfact(m), and hands the item (I(m), Wfact(m),
+c) to ``_class_sums``, the one class accumulator.  A term with s = 0
+passes through as it is, with no factorial, since I does not separate
+w0*w3 from w1*w2.  ``_class_sums`` keeps a key's first item while the key
+has one; a second item switches it to an integer pair holding the sum of
+c/w over a least common denominator, with one gcd per added item.  Then
+``_class_monomial`` runs once per key whose sum is nonzero, and each key
+builds at most one reduced fraction, none for a lone term with rho = 1.
+A class that sums to zero builds no monomial.  Distinct classes have
+distinct standard monomials, so the result takes one sort and no merge.
+``_standard_form`` is the same closed form for one monomial, with rho as
+two integers; the tests keep the per-term route through it as the oracle
+for the class sums.
+
+Products by class sums.  ``quotient.r_mul`` feeds the same accumulator one
+pair of factor terms at a time and never builds the product.  Let m1 and
+m2 have z-exponents Z1, Z2 and invariants (z_i, s_i, n_i, d_i), so
+z_i = Z_i mod 2, and let the carry be c = z1 * z2, which is 1 exactly
+when both z-exponents are odd.
+
+  * I is additive up to the carry.  The exponents of x, y and z, the size
+    and the mass all add under multiplication.  (Z1 + Z2) mod 2 = z1 xor
+    z2, and (Z1 + Z2) // 2 = Z1 // 2 + Z2 // 2 + c, since the two odd
+    remainders make one more pair exactly when c = 1.  So
+
+        I(m1*m2) = (z1 xor z2, s1 + s2 + c, n1 + n2 + c, d1 + d2).
+
+  * Wfact is multiplicative: the w-exponents add, and
+    i!^(e1 + e2) = i!^e1 * i!^e2, so Wfact(m1*m2) = Wfact(m1) * Wfact(m2).
+  * A product has s = 0 only when both factors have s = 0 and there is no
+    carry: s1, s2 and c are all >= 0, and their sum is s(m1*m2).
+  * So the class sum of a*b over a class I with s >= 1 is Wfact(std) times
+    the sum, over the pairs of terms (c1*m1, c2*m2) with I(m1*m2) = I, of
+    (c1 / Wfact(m1)) * (c2 / Wfact(m2)).  ``r_mul`` reads I and Wfact once
+    per factor term, and feeds one item per pair, keyed by the sum above:
+    for c_i = num_i / den_i, the integer num1*num2 over the integer
+    w = den1*Wfact(m1)*den2*Wfact(m2).
+    A pair whose product has s = 0 is keyed by the product monomial, with
+    w = den1*den2: those items merge by monomial as ``from_terms`` would,
+    and pass through as ``nf`` passes its s = 0 terms.  Only these pairs
+    multiply monomials, and they need no Wfact, so an s = 0 factor term
+    reads its invariant only when some partner term has s >= 1 or both
+    z-exponents are odd.  Summing by monomial and then by class adds the
+    same rationals as summing once by class, so ``r_mul(a, b)`` equals
+    ``nf(a*b)`` term for term.
 
 A Gröbner basis at every index.  The certificate below checks w-indices up
 to its ``max_index``; the proof here covers all of them, and so covers
@@ -158,7 +193,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
-from typing import Callable, Iterator, Optional
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 from .poly import (
     Monomial,
@@ -173,6 +209,9 @@ from .poly import (
     format_term,
     to_str,
 )
+
+
+_TERM_KEY = attrgetter("monomial.key")  # the monomial order on terms, as a sort key
 
 
 class ReductionLimitError(RuntimeError):
@@ -497,42 +536,49 @@ def nf(p: Polynomial) -> Polynomial:
     """The normal form of p by the closed form, one class at a time; equals
     ``normal_form(p)[0]``.  See the module docstring for the arithmetic."""
     out: list[Term] = []
-    # I(m) -> (c, Wfact(m)) while the class has one term, then
-    # [num, den] with num/den = sum of c/Wfact(m) over its terms
-    classes: dict = {}
+    items = []
     for t in p.terms:
         m = t.monomial
-        if not (m.x_exp or m.y_exp or m.z_exp > 1):
-            out.append(t)  # s = 0: no rule applies, and m is its own class
-            continue
-        inv, wfact = _invariant(m)
-        c = t.coefficient
-        acc = classes.get(inv)
-        if acc is None:
-            classes[inv] = (c, wfact)
-            continue
-        if acc.__class__ is tuple:
-            c0, w0 = acc
-            acc = classes[inv] = [c0.numerator, c0.denominator * w0]
-        num, den = acc
-        den_t = c.denominator * wfact
-        g = gcd(den, den_t)
-        acc[0] = num * (den_t // g) + c.numerator * (den // g)
-        acc[1] = den // g * den_t
-    for inv, acc in classes.items():
-        if acc.__class__ is tuple:
-            c, wfact = acc
-            std, wfact_std = _class_monomial(*inv)
-            if wfact_std != wfact:
-                c = Fraction(c.numerator * wfact_std, c.denominator * wfact)
-        elif acc[0]:
-            std, wfact_std = _class_monomial(*inv)
-            c = Fraction(acc[0] * wfact_std, acc[1])
+        if m.x_exp or m.y_exp or m.z_exp > 1:
+            inv, wfact = _invariant(m)
+            items.append((inv, wfact, t.coefficient))
         else:
-            continue  # the class sums to zero
+            out.append(t)  # s = 0: no rule applies, and m is its own class
+    return _class_sums(items, out)
+
+
+def _class_sums(items: Iterable[tuple], out: list[Term]) -> Polynomial:
+    """The class accumulator behind ``nf`` and ``quotient.r_mul``: the terms
+    of ``out`` plus sum(Wfact(std) * c / w) * std over the items (key, w, c),
+    as a Polynomial.  c is a nonzero Fraction or int and w a positive int.
+    An invariant key I stands for its class monomial std; a monomial key,
+    which only a product with s = 0 gives, stands for itself, with
+    Wfact(std) taken as 1.  The monomials of ``out`` have s = 0 and are not
+    keys.  See the module docstring."""
+    # key -> its one item (key, w, c); from a second item on, the integers
+    # [key, den, num] with num/den the sum of c/w over its items
+    classes: dict = {}
+    for item in items:
+        acc = classes.setdefault(item[0], item)
+        if acc is item:
+            continue
+        key, w, c = item
+        if acc.__class__ is tuple:
+            acc = classes[key] = [key, acc[2].denominator * acc[1], acc[2].numerator]
+        _, den, num = acc
+        den_t = c.denominator * w
+        g = gcd(den, den_t)
+        acc[1] = den // g * den_t
+        acc[2] = num * (den_t // g) + c.numerator * (den // g)
+    for key, w, c in classes.values():
+        if c.__class__ is int and not c:
+            continue  # the class sums to zero (a lone item is nonzero)
+        std, wfact_std = _class_monomial(*key) if key.__class__ is tuple else (key, 1)
+        if wfact_std != w or c.__class__ is not Fraction:  # rho != 1, or an int sum
+            c = Fraction(c.numerator * wfact_std, c.denominator * w)
         out.append(_term(c, std))
     # distinct classes have distinct monomials, so the keys are distinct
-    out.sort(key=lambda t: t.monomial.key, reverse=True)
+    out.sort(key=_TERM_KEY, reverse=True)
     return _polynomial(tuple(out))
 
 

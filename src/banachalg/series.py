@@ -84,6 +84,7 @@ Rational = Union[int, Fraction]
 _X = Polynomial.monomial(Monomial.build(x=1))
 _Y = Polynomial.monomial(Monomial.build(y=1))
 _Z2 = Polynomial.monomial(Monomial.build(z=2))
+_Y_R = project(_Y)  # the class of y, which every order of the solver multiplies by
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def solve_equation(order: int) -> TruncatedSeriesR:
         if current is None:
             raise RuntimeError(f"division by x unexpectedly failed at order {k}")
         coeffs.append(current)
-        current = divide_by_x(r_mul(project(_Y), current))
+        current = divide_by_x(r_mul(_Y_R, current))
     return TruncatedSeriesR(tuple(coeffs))
 
 

@@ -16,6 +16,8 @@ import pytest
 from banachalg.ideal import (
     F,
     G,
+    _class_monomial,
+    _invariant,
     _standard_form,
     _wfact,
     generator,
@@ -23,7 +25,7 @@ from banachalg.ideal import (
     is_standard_monomial,
     nf,
 )
-from banachalg.poly import Monomial, Polynomial, l1_norm, parse
+from banachalg.poly import Monomial, Polynomial, l1_norm, parse, to_str
 from banachalg.quotient import (
     R_ZERO,
     RElement,
@@ -137,6 +139,119 @@ def test_r_ops():
     assert r_mul(project(X), project(parse("w0"))) == project(parse("z^2"))
     assert r_mul(project(X), project(parse("w1"))) == project(parse("y*w0"))
     assert r_add(project(parse("z^2")), project(parse("-z^2"))) == R_ZERO
+
+
+# --- r_mul by class sums, against the product-then-nf route -----------------
+
+
+def _product_route(a, b):
+    return to_str(project(a.poly * b.poly).poly)
+
+
+def _degree_six_poly(rng, terms=4):
+    """The shape of the quotient-series bench's products: ``terms`` terms
+    of degree 6 in z, x, y, w0 .. w10 (fewer when two coincide)."""
+    names = ["z", "x", "y"] + [f"w{i}" for i in range(11)]
+
+    def monomial():
+        return parse("*".join(rng.choice(names) for _ in range(6))).terms[0].monomial
+
+    return Polynomial.from_terms((random_coefficient(rng), monomial()) for _ in range(terms))
+
+
+def _r_mul_corpus():
+    pairs = [
+        ("z*w1 + z*y", "z*w2 - 3*z"),  # z odd times z odd: the carry
+        ("z + 2*z*w3*w4", "(1/2)*z*w0*w7"),
+        ("w0 + w1*w2", "w3 + 2*w5"),  # s = 0 times s = 0, no carry
+        ("w0*w3 + w1*w2", "w0*w3 - w1*w2"),
+        ("z*w1 + w2", "z*w3 - w0"),  # s = 0 times s = 0, with and without the carry
+        ("w0*w3 + z", "y*w1 + x"),  # s = 0 times s >= 1
+        ("w300 - 5", "x*w0*w2"),
+        ("x", "3*w0*w3 - w1*w2"),  # x*w0*w3 and x*w1*w2 share a class and cancel
+        ("w1 + w0", "y*w0 - y*w1"),
+        ("7", "y*w0*w9 + z"),
+        ("0", "x + w1"),
+    ]
+    out = [(project(parse(a)), project(parse(b))) for a, b in pairs]
+    base = parse("z + x + y + w0 + w1 + w2 + w3 + w5 + w8")
+    cube = project(base * base * base)
+    assert len(cube.poly.terms) == 121
+    out.append((cube, cube))
+    rng = random.Random(2121)
+    for _ in range(300):
+        out.append((project(_degree_six_poly(rng)), project(_degree_six_poly(rng))))
+    for _ in range(100):
+        out.append((project(random_polynomial(rng)), project(random_polynomial(rng))))
+    return out
+
+
+def test_r_mul_matches_the_product_route():
+    corpus = _r_mul_corpus()
+    for a, b in corpus:
+        out = r_mul(a, b)
+        assert to_str(out.poly) == _product_route(a, b)
+        assert all(type(t.coefficient) is Fraction for t in out.poly.terms)
+    assert r_mul(*corpus[7]).is_zero()  # the cancelling class
+    assert sum(r_mul(a, b).is_zero() for a, b in corpus) >= 2
+
+
+def test_r_mul_builds_no_full_product(monkeypatch):
+    corpus = _r_mul_corpus()[:12]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full product built")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    monkeypatch.setattr(Polynomial, "from_terms", staticmethod(refuse))
+    with pytest.raises(AssertionError, match="full product built"):
+        corpus[0][0].poly * corpus[0][1].poly  # the spies are in place
+    got = [to_str(r_mul(a, b).poly) for a, b in corpus]
+    monkeypatch.undo()
+    assert got == [_product_route(a, b) for a, b in corpus]
+
+
+def test_r_mul_computes_no_factorial_for_s0_products(monkeypatch):
+    # w1*w300000 has s = 0, so it passes through: no factorial of 300000
+    big, one = project(parse("w300000")), project(parse("w1"))
+    odd = project(parse("z*w300000 - 2"))
+
+    def refuse(*args):
+        raise AssertionError("factorial called")
+
+    monkeypatch.setattr("banachalg.ideal.factorial", refuse)
+    assert r_mul(big, one).poly == parse("w1*w300000")
+    assert r_mul(one, odd).poly == parse("z*w1*w300000 - 2*w1")  # z odd times z even
+    for a, b in (("z*w2", "z*w3"), ("w2", "y")):  # the carry; a partner with s >= 1
+        with pytest.raises(AssertionError, match="factorial called"):
+            r_mul(project(parse(a)), project(parse(b)))
+
+
+def _divide_by_merge(g):
+    """divide_by_x's term-by-term pullback, merged by ``from_terms``."""
+    parts = []
+    for t in g.poly.terms:
+        (z, s, n, d), wfact = _invariant(t.monomial)
+        source, wfact_source = _class_monomial(z, s - 1, n, d)
+        if source is None:
+            return None
+        parts.append((t.coefficient * Fraction(wfact_source, wfact), source))
+    return Polynomial.from_terms(parts)
+
+
+def test_divide_by_x_matches_the_merge_route():
+    rng = random.Random(2122)
+    cases = 0
+    for _ in range(400):
+        p = random_polynomial(rng)
+        g = project(X * p if rng.random() < 0.8 else p)  # a fifth mostly without a quotient
+        h, want = divide_by_x(g), _divide_by_merge(g)
+        if want is None:
+            assert h is None
+            continue
+        assert h.poly == want and to_str(h.poly) == to_str(want)
+        cases += 1
+    assert cases > 300
 
 
 def test_norm_bounds_subadditive_submultiplicative():

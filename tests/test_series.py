@@ -31,6 +31,20 @@ def test_solution_coefficients_are_k_factorial_wk():
         )
 
 
+def test_solver_projects_once_per_call(monkeypatch):
+    # the class of y is a module constant; only z^2 is projected per call
+    calls = []
+
+    def spy(p):
+        calls.append(p)
+        return project(p)
+
+    monkeypatch.setattr("banachalg.series.project", spy)
+    f = solve_equation(30)
+    assert calls == [parse("z^2")]
+    assert f.coeffs[30] == expected_coefficient(30)
+
+
 def test_solution_small_orders():
     f = solve_equation(3)
     assert f.coeffs[0] == project(parse("w0"))
