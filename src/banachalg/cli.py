@@ -6,36 +6,27 @@ failed, 2 usage or parse error, 130 (128 + SIGINT) interrupted by Ctrl-C,
 141 (128 + SIGPIPE) the reader closed stdout before the output was written;
 130 and 141 print nothing on stderr.  All numbers print as exact integers
 or fractions p/q.
+
+Each subcommand imports the modules it runs when it runs, so that a call
+loads no more of the package than its subcommand needs; ``--version``
+loads no module of it beyond this one.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
-from typing import Callable
+from collections.abc import Callable
 
 from . import __version__
-from .disc import example1_residual, example2_residual, remark_growth
-from .ideal import (
-    ReductionLimitError,
-    generator,
-    groebner_certificate,
-    nf,
-    normal_form,
-    parse_generator_id,
-    s_polynomial,
-)
-from .poly import l1_norm, parse, to_str
-from .quotient import divide_by_x, project
-from .series import divergence_certificate, expected_coefficient, residual, solve_equation
 
 USAGE_ERROR, VERIFY_ERROR, INTERRUPTED, BROKEN_PIPE = 2, 1, 130, 141
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -71,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-series", help="solve (x - y*t) f = z^2 up to t^K")
     p.add_argument("--order", type=int, default=20)
-    p.add_argument("--bound", type=_parse_fraction, default=Fraction(10))
+    p.add_argument("--bound", type=_parse_fraction, default="10")  # a str default goes through type
 
     p = sub.add_parser("strong-artin", help="residual t-orders of the approximants")
     p.add_argument("--example", type=int, choices=(1, 2), default=1)
@@ -91,12 +82,17 @@ def _emit(
     """Print the JSON payload or the text lines; only the printed form is
     built, since some (the certificate's rows) are large."""
     if as_json:
+        import json
+
         print(json.dumps(payload(), indent=2))
     else:
         print("\n".join(text_lines()))
 
 
 def cmd_nf(args) -> int:
+    from .ideal import nf, normal_form
+    from .poly import l1_norm, parse, to_str
+
     p = parse(args.expr)
 
     def payload() -> dict:
@@ -115,6 +111,8 @@ def cmd_nf(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    from .poly import l1_norm, parse, to_str
+
     p = parse(args.expr)
     norm = str(l1_norm(p))
     _emit(
@@ -126,6 +124,9 @@ def cmd_norm(args) -> int:
 
 
 def cmd_spoly(args) -> int:
+    from .ideal import generator, parse_generator_id, s_polynomial
+    from .poly import to_str
+
     g1 = parse_generator_id(args.id1)
     g2 = parse_generator_id(args.id2)
     s = to_str(s_polynomial(generator(g1), generator(g2)))
@@ -138,6 +139,8 @@ def cmd_spoly(args) -> int:
 
 
 def cmd_groebner_verify(args) -> int:
+    from .ideal import groebner_certificate
+
     report = groebner_certificate(args.max_index)
     _emit(
         args.json,
@@ -148,6 +151,9 @@ def cmd_groebner_verify(args) -> int:
 
 
 def cmd_divide_x(args) -> int:
+    from .poly import parse, to_str
+    from .quotient import divide_by_x, project
+
     p = parse(args.expr)
     h = divide_by_x(project(p))
     result = None if h is None else str(h)
@@ -162,6 +168,8 @@ def cmd_divide_x(args) -> int:
 def cmd_solve_series(args) -> int:
     if args.order < 0:
         raise argparse.ArgumentTypeError("--order must be nonnegative")
+    from .series import divergence_certificate, expected_coefficient, residual, solve_equation
+
     f = solve_equation(args.order)
     res = residual(f)
     matches = all(
@@ -203,6 +211,8 @@ def cmd_solve_series(args) -> int:
 def cmd_strong_artin(args) -> int:
     if args.c_max < 0:
         raise argparse.ArgumentTypeError("--c-max must be nonnegative")
+    from .disc import example1_residual, example2_residual
+
     fn = example1_residual if args.example == 1 else example2_residual
     results = []
     all_ok = True
@@ -247,6 +257,8 @@ def cmd_strong_artin(args) -> int:
 
 
 def cmd_remark(args) -> int:
+    from .disc import remark_growth
+
     table = remark_growth(args.k_max)
     _emit(
         args.json,
@@ -272,6 +284,13 @@ HANDLERS = {
 }
 
 
+def _ideal_errors() -> tuple:
+    """``(ideal.ReductionLimitError,)`` once ``ideal`` is loaded, else ().
+    Only ``ideal`` raises it, and catching it must not import ``ideal``."""
+    ideal = sys.modules.get(f"{__package__}.ideal")
+    return (ideal.ReductionLimitError,) if ideal else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -286,9 +305,6 @@ def main(argv=None) -> int:
         code = HANDLERS[args.command](args)
         sys.stdout.flush()
         return code
-    except (ValueError, argparse.ArgumentTypeError, ReductionLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except KeyboardInterrupt:
         return INTERRUPTED
     except BrokenPipeError:
@@ -298,6 +314,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return BROKEN_PIPE
+    except (ValueError, argparse.ArgumentTypeError, *_ideal_errors()) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     finally:
         if set_limit is not None:
             set_limit(previous)

@@ -50,25 +50,26 @@ coefficient norms from plain convergent power series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Optional, Sequence, Union
 
-from .poly import Monomial, format_term
+from .poly import Monomial, _Record, _set, format_term
 
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class BRhoElement:
+class BRhoElement(_Record):
     """Polynomial in x with exact coefficients and the norm weight rho.
 
     ``coeffs`` holds (exponent, coefficient) pairs, ascending, no zeros.
     """
 
-    coeffs: tuple[tuple[int, Fraction], ...]
-    rho: Fraction
+    __slots__ = _fields = ("coeffs", "rho")
+
+    def __init__(self, coeffs: tuple[tuple[int, Fraction], ...], rho: Fraction):
+        _set(self, "coeffs", coeffs)
+        _set(self, "rho", rho)
 
     @staticmethod
     def from_dict(d: dict[int, Rational], rho: Rational) -> BRhoElement:
@@ -131,12 +132,14 @@ def brho_norm(f: BRhoElement) -> Fraction:
     return sum((abs(c) * f.rho**e for e, c in f.coeffs), Fraction(0))
 
 
-@dataclass(frozen=True)
-class BRhoSeries:
+class BRhoSeries(_Record):
     """Polynomial in t with BRhoElement coefficients (index = t-power)."""
 
-    coeffs: tuple[BRhoElement, ...]
-    rho: Fraction
+    __slots__ = _fields = ("coeffs", "rho")
+
+    def __init__(self, coeffs: tuple[BRhoElement, ...], rho: Fraction):
+        _set(self, "coeffs", coeffs)
+        _set(self, "rho", rho)
 
     @staticmethod
     def from_elements(elements: Sequence[BRhoElement], rho: Rational) -> BRhoSeries:
@@ -179,13 +182,6 @@ class BRhoSeries:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return BRhoSeries(tuple(out), self.rho)
-
-    def t_order(self) -> Optional[int]:
-        """Least t-power with nonzero coefficient; None when identically 0."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
-        return None
 
 
 def sqrt_coeffs(count: int) -> list[Fraction]:

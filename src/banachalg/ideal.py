@@ -47,8 +47,8 @@ Then std(m) is the standard monomial of the class I(m):
   * rho(m) = Wfact(std(m)) / Wfact(m), with Wfact = prod(index!^exp).
 
 ``_class_monomial`` is the one place that picks a class's monomial;
-``nf``, ``quotient.r_mul``, ``_standard_form`` and ``quotient.divide_by_x``
-go through it.
+``nf``, ``quotient.r_mul``, ``quotient._products`` (behind
+``series.residual``) and ``quotient.divide_by_x`` go through it.
 
 Each rewrite step lead -> scalar * tail scales the coefficient by exactly
 Wfact(tail) / Wfact(lead), a factor in (0, 1], so the scalars multiply up
@@ -69,9 +69,9 @@ c/w over a least common denominator, with one gcd per added item.  Then
 builds at most one reduced fraction, none for a lone term with rho = 1.
 A class that sums to zero builds no monomial.  Distinct classes have
 distinct standard monomials, so the result takes one sort and no merge.
-``_standard_form`` is the same closed form for one monomial, with rho as
-two integers; the tests keep the per-term route through it as the oracle
-for the class sums.
+The tests keep the same closed form for one monomial, with rho as two
+integers, and the per-term route through it as the oracle for the class
+sums.
 
 Products by class sums.  ``quotient.r_mul`` feeds the same accumulator one
 pair of factor terms at a time and never builds the product.  Let m1 and
@@ -187,14 +187,12 @@ checked by ``groebner_certificate`` are exact scalar-for-scalar.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import factorial, gcd
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .poly import (
     Monomial,
@@ -202,14 +200,18 @@ from .poly import (
     Term,
     _INTEGER,
     _KEY,
+    _Record,
     _monomial,
     _polynomial,
     _rewrite_monomial,
+    _set,
     _term,
     format_term,
     to_str,
 )
 
+if TYPE_CHECKING:  # only the "random" strategy of normal_form imports it
+    import random
 
 _TERM_KEY = attrgetter("monomial.key")  # the monomial order on terms, as a sort key
 
@@ -219,9 +221,9 @@ class ReductionLimitError(RuntimeError):
     which only a rewrite rule that does not lower its monomial can cause."""
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorId:
-    """F(j) or G(k, l) with k < l; ordered and hashable.
+@total_ordering
+class GeneratorId(_Record):
+    """F(j) or G(k, l) with k < l; ordered by (kind, a, b) and hashable.
 
     ``F``, ``G`` and ``parse_generator_id`` return one interned object per
     id; the public constructor builds a new, equal one.  The hash of
@@ -229,24 +231,30 @@ class GeneratorId:
     certificate's lookups.  ``str`` hashes differ between processes, so
     pickling and copying rebuild the id through ``F`` or ``G``."""
 
-    kind: str
-    a: int
-    b: int = -1
-    _hash: int = field(init=False, repr=False, compare=False)
+    _fields = ("kind", "a", "b")
+    __slots__ = (*_fields, "_hash")
 
-    def __post_init__(self):
-        if self.kind not in ("F", "G"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "F" and self.b != -1:
-            raise ValueError(f"F takes one index, got a second index {self.b}")
-        if self.kind == "F" and self.a < 0:
-            raise ValueError(f"invalid F index {self.a}")
-        if self.kind == "G" and not 0 <= self.a < self.b:
-            raise ValueError(f"G requires 0 <= k < l, got k={self.a}, l={self.b}")
-        object.__setattr__(self, "_hash", hash((self.kind, self.a, self.b)))
+    def __init__(self, kind: str, a: int, b: int = -1):
+        if kind not in ("F", "G"):
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind == "F" and b != -1:
+            raise ValueError(f"F takes one index, got a second index {b}")
+        if kind == "F" and a < 0:
+            raise ValueError(f"invalid F index {a}")
+        if kind == "G" and not 0 <= a < b:
+            raise ValueError(f"G requires 0 <= k < l, got k={a}, l={b}")
+        _set(self, "kind", kind)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "_hash", hash((kind, a, b)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __lt__(self, other):
+        if other.__class__ is not GeneratorId:
+            return NotImplemented
+        return (self.kind, self.a, self.b) < (other.kind, other.a, other.b)
 
     def __reduce__(self):
         return (F, (self.a,)) if self.kind == "F" else (G, (self.a, self.b))
@@ -401,16 +409,6 @@ def _class_monomial(z: int, s: int, n: int, d: int) -> tuple[Optional[Monomial],
     return _monomial(z, 0, s, w), factorial(a) ** n * (a + 1) ** hi
 
 
-def _standard_form(m: Monomial) -> tuple[int, int, Monomial]:
-    """(a, b, std) with m congruent to (a/b) * std and std standard: std is
-    the standard monomial of class I(m), and a/b = rho(m)."""
-    if not (m.x_exp or m.y_exp or m.z_exp > 1):
-        return 1, 1, m  # s = 0: no rule applies, and no factorial is needed
-    inv, wfact_m = _invariant(m)
-    std, wfact_std = _class_monomial(*inv)
-    return wfact_std, wfact_m, std
-
-
 def divisor_generators(m: Monomial) -> tuple[GeneratorId, ...]:
     """Generators whose leading monomial divides m, largest leading monomial
     first.  Only finitely many can apply; they are read off the w-support,
@@ -427,19 +425,23 @@ def divisor_generators(m: Monomial) -> tuple[GeneratorId, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(_Record):
     """One division step: subtract scalar * multiplier * generator(gen)."""
 
-    generator: GeneratorId
-    multiplier: Monomial
-    scalar: Fraction
+    __slots__ = _fields = ("generator", "multiplier", "scalar")
+
+    def __init__(self, generator: GeneratorId, multiplier: Monomial, scalar: Fraction):
+        _set(self, "generator", generator)
+        _set(self, "multiplier", multiplier)
+        _set(self, "scalar", scalar)
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    steps: tuple[ReductionStep, ...]
-    result: Polynomial
+class ReductionTrace(_Record):
+    __slots__ = _fields = ("steps", "result")
+
+    def __init__(self, steps: tuple[ReductionStep, ...], result: Polynomial):
+        _set(self, "steps", steps)
+        _set(self, "result", result)
 
     def replay(self, start: Polynomial) -> Polynomial:
         """Apply the recorded steps to ``start``; equals ``result`` when
@@ -519,6 +521,8 @@ def normal_form(
     if strategy == "largest":
         steps = [ReductionStep(*s) for s in _largest_first(work, divisor_generators, bound)]
     else:
+        import random
+
         rng = rng or random.Random()
         steps = []
         while reducible := [(m, gens) for m in work if (gens := divisor_generators(m))]:
@@ -599,13 +603,15 @@ def reduce_by_single(p: Polynomial, gid: GeneratorId) -> tuple[Polynomial, Polyn
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    identity: str
-    indices: tuple[int, ...]
-    passed: bool
-    lhs: str
-    rhs: str
+class IdentityCheck(_Record):
+    __slots__ = _fields = ("identity", "indices", "passed", "lhs", "rhs")
+
+    def __init__(self, identity: str, indices: tuple[int, ...], passed: bool, lhs: str, rhs: str):
+        _set(self, "identity", identity)
+        _set(self, "indices", indices)
+        _set(self, "passed", passed)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
     def to_json(self) -> dict:
         return {
@@ -617,10 +623,12 @@ class IdentityCheck:
         }
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    max_index: int
-    checks: tuple[IdentityCheck, ...]
+class CertificateReport(_Record):
+    __slots__ = _fields = ("max_index", "checks")
+
+    def __init__(self, max_index: int, checks: tuple[IdentityCheck, ...]):
+        _set(self, "max_index", max_index)
+        _set(self, "checks", checks)
 
     @property
     def passed(self) -> int:

@@ -56,7 +56,6 @@ ring a Banach algebra; ``l1_norm`` computes it exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -93,7 +92,50 @@ def W(index: int) -> Variable:
     return Variable("w", index)
 
 
-class Monomial:
+_set = object.__setattr__  # writes a slot past a record's read-only __setattr__
+
+
+class _Record:
+    """The immutable value classes of the package: ``_fields`` names the
+    constructor's arguments, in order, each stored in a slot.
+
+    Assignment and deletion raise AttributeError; ``==`` holds only between
+    two instances of one class with equal fields, and the hash agrees with
+    it; ``repr`` is the call that rebuilds the value; pickling and copying
+    go through the public constructor, with its checks.  A subclass writes
+    its ``__init__`` (checks included) and may replace ``__eq__`` and
+    ``__hash__`` by faster ones with the same meaning.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Monomial(_Record):
     """Exponent record: z^z_exp * x^x_exp * y^y_exp * prod w_i^e_i.
 
     ``w`` holds (index, exponent) pairs with strictly ascending indices and
@@ -103,7 +145,8 @@ class Monomial:
     ``compare``, and the hash is computed once from it.
     """
 
-    __slots__ = ("z_exp", "x_exp", "y_exp", "w", "key", "_hash")
+    _fields = ("z_exp", "x_exp", "y_exp", "w")
+    __slots__ = (*_fields, "key", "_hash")
 
     def __init__(
         self,
@@ -123,12 +166,6 @@ class Monomial:
             )
         _fill(self, z_exp, x_exp, y_exp, w)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of Monomial")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of Monomial")
-
     def __eq__(self, other):
         if other.__class__ is not Monomial:
             return NotImplemented
@@ -136,12 +173,6 @@ class Monomial:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return _repr(self.z_exp, self.x_exp, self.y_exp, self.w)
-
-    def __reduce__(self):
-        return Monomial, (self.z_exp, self.x_exp, self.y_exp, self.w)
 
     @staticmethod
     def build(z: int = 0, x: int = 0, y: int = 0, w: Mapping[int, int] | None = None) -> Monomial:
@@ -151,17 +182,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return self.key[0]
-
-    def w_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.w)
-
-    def w_size(self) -> int:
-        """Number of w-factors counted with multiplicity."""
-        return sum(e for _, e in self.w)
-
-    def w_mass(self) -> int:
-        """Sum of w-indices counted with multiplicity."""
-        return sum(i * e for i, e in self.w)
 
     def __mul__(self, other: Monomial) -> Monomial:
         return _rewrite_monomial(self, ONE, other)
@@ -274,7 +294,7 @@ def compare(m1: Monomial, m2: Monomial) -> int:
     return 0
 
 
-class Term:
+class Term(_Record):
     """One nonzero term coefficient * monomial, an immutable value.
 
     The public constructor coerces the coefficient to ``Fraction`` and
@@ -283,7 +303,7 @@ class Term:
     docstring).
     """
 
-    __slots__ = ("coefficient", "monomial")
+    __slots__ = _fields = ("coefficient", "monomial")
 
     def __init__(self, coefficient: Rational, monomial: Monomial):
         if not isinstance(coefficient, Fraction):
@@ -292,26 +312,6 @@ class Term:
             raise ValueError("zero coefficient in Term")
         _set_coefficient(self, coefficient)
         _set_monomial(self, monomial)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of Term")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of Term")
-
-    def __eq__(self, other):
-        if other.__class__ is not Term:
-            return NotImplemented
-        return self.coefficient == other.coefficient and self.monomial == other.monomial
-
-    def __hash__(self) -> int:
-        return hash((self.coefficient, self.monomial))
-
-    def __repr__(self) -> str:
-        return f"Term(coefficient={self.coefficient!r}, monomial={self.monomial!r})"
-
-    def __reduce__(self):
-        return Term, (self.coefficient, self.monomial)
 
     def __str__(self) -> str:
         return format_term(self.coefficient, self.monomial)
@@ -330,8 +330,7 @@ def _term(c: Fraction, m: Monomial) -> Term:
     return t
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record):
     """Finite sum of terms, sorted strictly decreasing in the monomial order.
 
     The zero polynomial has an empty term tuple.  The public constructor
@@ -342,10 +341,9 @@ class Polynomial:
     ``_polynomial`` (see the module docstring).
     """
 
-    terms: tuple[Term, ...] = ()
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self):
-        terms = self.terms
+    def __init__(self, terms: tuple[Term, ...] = ()):
         if not isinstance(terms, tuple) or not all(isinstance(t, Term) for t in terms):
             raise TypeError("Polynomial takes a tuple of Terms; use from_terms to merge pairs")
         if any(s.monomial.key <= t.monomial.key for s, t in zip(terms, terms[1:])):
@@ -353,6 +351,15 @@ class Polynomial:
                 "Polynomial terms must strictly decrease in the monomial order; "
                 "use from_terms to merge and sort"
             )
+        _set(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not Polynomial:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Rational, Monomial]]) -> Polynomial:
@@ -384,10 +391,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
         return self.terms[0]
-
-    def total_degree(self) -> int:
-        """Maximum term degree; -1 for the zero polynomial."""
-        return max((t.monomial.degree for t in self.terms), default=-1)
 
     def __add__(self, other: Polynomial) -> Polynomial:
         return Polynomial.from_terms(
@@ -434,7 +437,7 @@ def _polynomial(terms: tuple[Term, ...]) -> Polynomial:
     """The unchecked constructor, for Terms that strictly decrease in the
     monomial order by construction."""
     p = object.__new__(Polynomial)
-    object.__setattr__(p, "terms", terms)
+    _set(p, "terms", terms)
     return p
 
 

@@ -19,6 +19,8 @@ of its product's class in ``ideal._class_sums``, the accumulator ``nf``
 uses.  Only pairs whose product has s = 0 multiply monomials; they pass
 through unreduced, and their factors need no factorial.  The result
 equals project(a.poly * b.poly), the route the tests keep as the oracle.
+``_products`` sums several products in one accumulator the same way;
+``series.residual`` reads each order of its residual through it.
 
 ``divide_by_x`` inverts multiplication by x on normal forms through the
 class invariant I of ``ideal``.  Multiplying by x adds I(x) = (0, 1, 0, 0),
@@ -41,25 +43,25 @@ unique and the round trip is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional
 
 from .ideal import _TERM_KEY, _class_monomial, _class_sums, _invariant, is_standard, nf
-from .poly import Polynomial, Term, _polynomial, _term, l1_norm, to_str
+from .poly import Polynomial, Term, _polynomial, _Record, _set, _term, l1_norm, to_str
 
 
-@dataclass(frozen=True)
-class RElement:
+class RElement(_Record):
     """A residue class, held as its unique normal form."""
 
-    poly: Polynomial
+    __slots__ = _fields = ("poly",)
 
-    def __post_init__(self):
-        if not is_standard(self.poly):
+    def __init__(self, poly: Polynomial):
+        if not is_standard(poly):
             raise ValueError(
                 "RElement requires a normal form; use project() to reduce first"
             )
+        _set(self, "poly", poly)
 
     @property
     def norm(self) -> Fraction:
@@ -82,7 +84,7 @@ R_ZERO = RElement(Polynomial.zero())
 def _r_element(p: Polynomial) -> RElement:
     """The unchecked constructor, for a polynomial standard by construction."""
     r = object.__new__(RElement)
-    object.__setattr__(r, "poly", p)
+    _set(r, "poly", p)
     return r
 
 
@@ -110,6 +112,18 @@ def r_mul(a: RElement, b: RElement) -> RElement:
     equals project(a.poly * b.poly) and builds no full product."""
     ta, tb = a.poly.terms, b.poly.terms
     return _r_element(_class_sums(_pair_items(_factors(ta, tb), _factors(tb, ta)), []))
+
+
+def _products(*pairs: tuple[Polynomial, Polynomial]) -> RElement:
+    """The class of the sum of p*q over the pairs (p, q), summed by class as
+    ``r_mul`` sums one product, in one accumulator; equals
+    project(sum(p*q)).  The factors need not be normal forms: I and Wfact
+    are read per factor term whatever its monomial, and a product with
+    s = 0 is standard."""
+    items = chain.from_iterable(
+        _pair_items(_factors(p.terms, q.terms), _factors(q.terms, p.terms)) for p, q in pairs
+    )
+    return _r_element(_class_sums(items, []))
 
 
 def _factors(terms: tuple[Term, ...], partner: tuple[Term, ...]) -> list[tuple]:

@@ -71,13 +71,12 @@ of the norms of its homogeneous parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Optional, Union
 
-from .poly import Monomial, Polynomial
-from .quotient import R_ZERO, RElement, divide_by_x, project, r_mul
+from .poly import Monomial, Polynomial, _Record, _set
+from .quotient import RElement, _products, divide_by_x, project, r_mul
 
 Rational = Union[int, Fraction]
 
@@ -85,17 +84,18 @@ _X = Polynomial.monomial(Monomial.build(x=1))
 _Y = Polynomial.monomial(Monomial.build(y=1))
 _Z2 = Polynomial.monomial(Monomial.build(z=2))
 _Y_R = project(_Y)  # the class of y, which every order of the solver multiplies by
+_MINUS_Y, _MINUS_ONE = -_Y, Polynomial.constant(-1)  # residual's factors of f_{k-1} and z^2
 
 
-@dataclass(frozen=True)
-class TruncatedSeriesR:
+class TruncatedSeriesR(_Record):
     """Coefficients f_0 .. f_K of a series over the quotient, truncated at K."""
 
-    coeffs: tuple[RElement, ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[RElement, ...]):
+        if not coeffs:
             raise ValueError("a truncated series has at least the order-0 coefficient")
+        _set(self, "coeffs", coeffs)
 
     @property
     def truncation_order(self) -> int:
@@ -109,10 +109,6 @@ class TruncatedSeriesR:
             {"k": k, "coeff": str(c), "norm": str(c.norm)}
             for k, c in enumerate(self.coeffs)
         ]
-
-
-def zero_series(order: int) -> TruncatedSeriesR:
-    return TruncatedSeriesR((R_ZERO,) * (order + 1))
 
 
 def solve_equation(order: int) -> TruncatedSeriesR:
@@ -141,22 +137,28 @@ def expected_coefficient(k: int) -> RElement:
 def residual(f: TruncatedSeriesR) -> TruncatedSeriesR:
     """Coefficients of (x - y*t) * f - z^2 modulo t^(K+1), projected.
 
-    All zero exactly when f solves the equation through order K.
+    All zero exactly when f solves the equation through order K.  Order k
+    is x*f_k - y*f_{k-1}, and order 0 is x*f_0 - z^2; each is summed by
+    class, as ``r_mul`` sums a product, and no product is built.
     """
-    out = [project(_X * f.coeffs[0].poly - _Z2)]
-    for k in range(1, f.truncation_order + 1):
-        out.append(project(_X * f.coeffs[k].poly - _Y * f.coeffs[k - 1].poly))
-    return TruncatedSeriesR(tuple(out))
+    lower = [(_MINUS_ONE, _Z2)] + [(_MINUS_Y, c.poly) for c in f.coeffs[:-1]]
+    return TruncatedSeriesR(
+        tuple(_products((_X, c.poly), low) for c, low in zip(f.coeffs, lower))
+    )
 
 
-@dataclass(frozen=True)
-class DivergenceCertificate:
+class DivergenceCertificate(_Record):
     """Least k with norm(f_k)^(1/k) >= bound, or None if the truncation is
     too short; ``table`` lists (k, exact norm of f_k)."""
 
-    bound: Fraction
-    reached_at: Optional[int]
-    table: tuple[tuple[int, Fraction], ...]
+    __slots__ = _fields = ("bound", "reached_at", "table")
+
+    def __init__(
+        self, bound: Fraction, reached_at: Optional[int], table: tuple[tuple[int, Fraction], ...]
+    ):
+        _set(self, "bound", bound)
+        _set(self, "reached_at", reached_at)
+        _set(self, "table", table)
 
     def to_json(self) -> dict:
         return {

@@ -110,6 +110,18 @@ def nonzero_random_standard_polynomial(rng: random.Random, **kw) -> Polynomial:
             return p
 
 
+def standard_form(m: Monomial) -> tuple[int, int, Monomial]:
+    """(a, b, std) with m congruent to (a/b) * std and std standard: std is
+    the standard monomial of class I(m), and a/b = rho(m).  The closed form
+    of ``ideal`` for one monomial, kept as the per-term oracle for the class
+    sums of ``nf`` and ``r_mul``."""
+    if not (m.x_exp or m.y_exp or m.z_exp > 1):
+        return 1, 1, m  # s = 0: no rule applies, and no factorial is needed
+    inv, wfact_m = ideal._invariant(m)
+    std, wfact_std = ideal._class_monomial(*inv)
+    return wfact_std, wfact_m, std
+
+
 @pytest.fixture
 def broken_f0(monkeypatch):
     """A faulty F0 rule whose tail equals its lead: rewriting z^2 gives z^2

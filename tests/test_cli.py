@@ -113,7 +113,7 @@ def test_nf_text_uses_the_closed_form(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("normal_form called")
 
-    monkeypatch.setattr("banachalg.cli.normal_form", refuse)
+    monkeypatch.setattr("banachalg.ideal.normal_form", refuse)
     code, out, _ = run(capsys, "nf", "z^2*w1 + x*w0*w3")
     assert code == 0
     assert out == "(1/6)*y*w1^2 + y*w0^2\n"

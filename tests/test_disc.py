@@ -174,6 +174,11 @@ def test_family1_bound():
 RHOS = (2, 1, Fraction(1, 3), 7)
 
 
+def t_order(series):
+    """Least t-power with a nonzero coefficient; None when identically 0."""
+    return next((i for i, c in enumerate(series.coeffs) if not c.is_zero()), None)
+
+
 def series_residual(c, rho):
     """The two-variable oracle: x*y1*y1 - (x+t)*y2*y2 as a BRhoSeries."""
     y1, y2, t = example2_solutions(c, rho)
@@ -185,7 +190,7 @@ def series_residual(c, rho):
 def test_residual_matches_the_series_product(rho):
     for c in range(0, 21):
         res = series_residual(c, rho)
-        order = res.t_order()
+        order = t_order(res)
         want = (order, res.coeffs[order])
         assert example1_residual(c, rho) == want
         assert example2_residual(c, rho) == want
@@ -315,5 +320,5 @@ def test_series_arithmetic_and_order():
     assert p.coeffs[0] == el({2: 1})
     assert p.coeffs[1].is_zero()
     assert p.coeffs[2] == el({0: -1})
-    assert (p - p).t_order() is None
-    assert (t * t).t_order() == 2
+    assert t_order(p - p) is None
+    assert t_order(t * t) == 2

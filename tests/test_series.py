@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from banachalg.ideal import _standard_form
 from banachalg.poly import Monomial, Polynomial, parse
 from banachalg.quotient import R_ZERO, project
 from banachalg.series import (
@@ -15,10 +14,9 @@ from banachalg.series import (
     expected_coefficient,
     residual,
     solve_equation,
-    zero_series,
 )
 
-from conftest import nonzero_random_standard_polynomial
+from conftest import nonzero_random_standard_polynomial, random_polynomial, standard_form
 
 
 def test_solution_coefficients_are_k_factorial_wk():
@@ -57,10 +55,59 @@ def test_residual_of_solution_is_zero():
 
 
 def test_residual_of_zero_series():
-    r = residual(zero_series(2))
+    r = residual(TruncatedSeriesR((R_ZERO,) * 3))
     assert r.coeffs[0].poly == parse("-x*w0")
     assert r.coeffs[1].is_zero() and r.coeffs[2].is_zero()
     assert not r.is_zero()
+
+
+def _residual_by_products(f):
+    """The residual as it was computed before the class sums: each order as a
+    full product and difference of Polynomials, then ``project``."""
+    x, y, z2 = parse("x"), parse("y"), parse("z^2")
+    out = [project(x * f.coeffs[0].poly - z2)]
+    for k in range(1, f.truncation_order + 1):
+        out.append(project(x * f.coeffs[k].poly - y * f.coeffs[k - 1].poly))
+    return out
+
+
+def test_residual_matches_the_product_route_through_order_40():
+    rng = random.Random(23)
+    solution = solve_equation(40)
+    cases = [solution]
+    for _ in range(6):  # the solution with a few coefficients perturbed
+        coeffs = list(solution.coeffs)
+        for k in rng.sample(range(41), 3):
+            delta = nonzero_random_standard_polynomial(rng, max_windex=8)
+            coeffs[k] = project(coeffs[k].poly + delta)
+        cases.append(TruncatedSeriesR(tuple(coeffs)))
+    for order in (0, 1, 5, 40):  # random classes, z and s = 0 terms included
+        polys = [random_polynomial(rng, max_terms=6) for _ in range(order + 1)]
+        cases.append(TruncatedSeriesR(tuple(map(project, polys))))
+    nonzero = 0
+    for f in cases:
+        got = residual(f)
+        want = _residual_by_products(f)
+        assert got.coeffs == tuple(want)
+        assert [str(c) for c in got.coeffs] == [str(c) for c in want]
+        nonzero += sum(not c.is_zero() for c in got.coeffs)
+    assert residual(solution).is_zero() and nonzero > 60
+
+
+def test_residual_builds_no_product(monkeypatch):
+    f = solve_equation(8)
+    coeffs = (project(parse("z*w1 + 3*x*w2 - (1/2)*w0*w3")),) + f.coeffs[1:]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("product built")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    monkeypatch.setattr(Polynomial, "__sub__", refuse)
+    monkeypatch.setattr("banachalg.series.project", refuse)
+    r = residual(TruncatedSeriesR(coeffs))
+    monkeypatch.undo()
+    assert r.coeffs == tuple(_residual_by_products(TruncatedSeriesR(coeffs)))
+    assert not r.coeffs[0].is_zero() and r.coeffs[2].is_zero()
 
 
 def test_residual_of_partial_series():
@@ -94,17 +141,17 @@ def test_every_formal_solution_has_k_factorial_wk():
     # the finite step of the proof in the series docstring: x^(k+1)*f_k =
     # y^k*z^2 pins the degree-1 part of any solution f_k to k!*w_k
     for k in range(41):
-        a, b, target = _standard_form(Monomial.build(y=k, z=2))
+        a, b, target = standard_form(Monomial.build(y=k, z=2))
         rho = Fraction(a, b)
         degree_one = [Monomial.build(x=1), Monomial.build(y=1), Monomial.build(z=1)]
         degree_one += [Monomial.build(w={i: 1}) for i in range(k + 40)]
         hits = [
             mono
             for mono in degree_one
-            if _standard_form(Monomial.build(x=k + 1) * mono)[2] == target
+            if standard_form(Monomial.build(x=k + 1) * mono)[2] == target
         ]
         assert hits == [Monomial.build(w={k: 1})]
-        a, b, _ = _standard_form(Monomial.build(x=k + 1, w={k: 1}))
+        a, b, _ = standard_form(Monomial.build(x=k + 1, w={k: 1}))
         rho_k = Fraction(a, b)
         assert rho / rho_k == math.factorial(k)
 
