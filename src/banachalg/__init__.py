@@ -21,13 +21,11 @@ __version__ = "0.1.0"
 # the command line loads only the modules it runs.
 _EXPORTS = {
     "poly": (
-        "Monomial", "ParseError", "Polynomial", "Term", "Variable",
-        "W", "X", "Y", "Z", "compare", "l1_norm", "parse", "to_str",
+        "Monomial", "ParseError", "Polynomial", "Term", "compare", "l1_norm", "parse", "to_str",
     ),
     "ideal": (
-        "F", "G", "GeneratorId", "ReductionTrace", "generator",
-        "groebner_certificate", "is_standard_monomial", "leading_term",
-        "nf", "normal_form", "s_polynomial",
+        "F", "G", "GeneratorId", "ReductionTrace", "generator", "groebner_certificate",
+        "is_standard_monomial", "nf", "normal_form", "s_polynomial",
     ),
     "quotient": ("RElement", "divide_by_x", "equal_mod_I", "project", "r_add", "r_mul"),
     "series": ("TruncatedSeriesR", "divergence_certificate", "residual", "solve_equation"),

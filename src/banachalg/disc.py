@@ -50,13 +50,11 @@ coefficient norms from plain convergent power series.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Optional, Sequence, Union
 
 from .poly import Monomial, _Record, _set, format_term
-
-Rational = Union[int, Fraction]
 
 
 class BRhoElement(_Record):
@@ -72,7 +70,7 @@ class BRhoElement(_Record):
         _set(self, "rho", rho)
 
     @staticmethod
-    def from_dict(d: dict[int, Rational], rho: Rational) -> BRhoElement:
+    def from_dict(d: dict[int, int | Fraction], rho: int | Fraction) -> BRhoElement:
         rho = Fraction(rho)
         if rho <= 0:
             raise ValueError("rho must be positive")
@@ -82,11 +80,11 @@ class BRhoElement(_Record):
         return BRhoElement(pairs, rho)
 
     @staticmethod
-    def zero(rho: Rational) -> BRhoElement:
+    def zero(rho: int | Fraction) -> BRhoElement:
         return BRhoElement.from_dict({}, rho)
 
     @staticmethod
-    def x_power(e: int, rho: Rational, c: Rational = 1) -> BRhoElement:
+    def x_power(e: int, rho: int | Fraction, c: int | Fraction = 1) -> BRhoElement:
         return BRhoElement.from_dict({e: c}, rho)
 
     def is_zero(self) -> bool:
@@ -142,7 +140,7 @@ class BRhoSeries(_Record):
         _set(self, "rho", rho)
 
     @staticmethod
-    def from_elements(elements: Sequence[BRhoElement], rho: Rational) -> BRhoSeries:
+    def from_elements(elements: Sequence[BRhoElement], rho: int | Fraction) -> BRhoSeries:
         rho = Fraction(rho)
         for e in elements:
             if e.rho != rho:
@@ -224,7 +222,7 @@ DEFAULT_RHO = Fraction(2)
 
 
 def example1_solutions(
-    c: int, rho: Rational = DEFAULT_RHO
+    c: int, rho: int | Fraction = DEFAULT_RHO
 ) -> tuple[BRhoSeries, BRhoSeries]:
     """(y1, y2) with y2 = x^c and y1 = x^c + sum_{n<=c} a_n x^(c-n) t^n."""
     if c < 0:
@@ -238,7 +236,7 @@ def example1_solutions(
 
 
 def example2_solutions(
-    c: int, rho: Rational = DEFAULT_RHO
+    c: int, rho: int | Fraction = DEFAULT_RHO
 ) -> tuple[BRhoSeries, BRhoSeries, BRhoSeries]:
     """(y1, y2, y3): the pair of family 1 together with y3 = t."""
     y1, y2 = example1_solutions(c, rho)
@@ -250,8 +248,8 @@ def example2_solutions(
 
 
 def example1_residual(
-    c: int, rho: Rational = DEFAULT_RHO
-) -> tuple[Optional[int], BRhoElement]:
+    c: int, rho: int | Fraction = DEFAULT_RHO
+) -> tuple[int | None, BRhoElement]:
     """(t-order, leading coefficient) of x*y1^2 - (x+t)*y2^2 at the order-c
     approximants; the order is exactly c + 1 and the leading coefficient is
     -2*a_{c+1}*x^c (None would mean an identically zero residual, which does
@@ -292,8 +290,8 @@ def example1_residual(
 
 
 def example2_residual(
-    c: int, rho: Rational = DEFAULT_RHO
-) -> tuple[Optional[int], BRhoElement]:
+    c: int, rho: int | Fraction = DEFAULT_RHO
+) -> tuple[int | None, BRhoElement]:
     """(t-order, leading coefficient) of x*y1^2 - (x+y3)*y2^2 with y3 = t;
     guaranteed order at least c.  Since y3 is exactly the series t, this is
     ``example1_residual`` and goes through the same code path."""

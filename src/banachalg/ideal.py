@@ -47,7 +47,7 @@ Then std(m) is the standard monomial of the class I(m):
   * rho(m) = Wfact(std(m)) / Wfact(m), with Wfact = prod(index!^exp).
 
 ``_class_monomial`` is the one place that picks a class's monomial;
-``nf``, ``quotient.r_mul``, ``quotient._products`` (behind
+``nf``, ``quotient._products`` (behind ``quotient.r_mul`` and
 ``series.residual``) and ``quotient.divide_by_x`` go through it.
 
 Each rewrite step lead -> scalar * tail scales the coefficient by exactly
@@ -73,11 +73,11 @@ The tests keep the same closed form for one monomial, with rho as two
 integers, and the per-term route through it as the oracle for the class
 sums.
 
-Products by class sums.  ``quotient.r_mul`` feeds the same accumulator one
-pair of factor terms at a time and never builds the product.  Let m1 and
-m2 have z-exponents Z1, Z2 and invariants (z_i, s_i, n_i, d_i), so
-z_i = Z_i mod 2, and let the carry be c = z1 * z2, which is 1 exactly
-when both z-exponents are odd.
+Products by class sums.  ``quotient._products``, behind ``r_mul``, feeds
+the same accumulator one pair of factor terms at a time and never builds
+the product.  Let m1 and m2 have z-exponents Z1, Z2 and invariants
+(z_i, s_i, n_i, d_i), so z_i = Z_i mod 2, and let the carry be
+c = z1 * z2, which is 1 exactly when both z-exponents are odd.
 
   * I is additive up to the carry.  The exponents of x, y and z, the size
     and the mass all add under multiplication.  (Z1 + Z2) mod 2 = z1 xor
@@ -92,8 +92,8 @@ when both z-exponents are odd.
     carry: s1, s2 and c are all >= 0, and their sum is s(m1*m2).
   * So the class sum of a*b over a class I with s >= 1 is Wfact(std) times
     the sum, over the pairs of terms (c1*m1, c2*m2) with I(m1*m2) = I, of
-    (c1 / Wfact(m1)) * (c2 / Wfact(m2)).  ``r_mul`` reads I and Wfact once
-    per factor term, and feeds one item per pair, keyed by the sum above:
+    (c1 / Wfact(m1)) * (c2 / Wfact(m2)).  ``_products`` reads I and Wfact
+    once per factor term, and feeds one item per pair, keyed by the sum above:
     for c_i = num_i / den_i, the integer num1*num2 over the integer
     w = den1*Wfact(m1)*den2*Wfact(m2).
     A pair whose product has s = 0 is keyed by the product monomial, with
@@ -188,11 +188,11 @@ checked by ``groebner_certificate`` are exact scalar-for-scalar.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import factorial, gcd
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .poly import (
     Monomial,
@@ -210,9 +210,6 @@ from .poly import (
     to_str,
 )
 
-if TYPE_CHECKING:  # only the "random" strategy of normal_form imports it
-    import random
-
 _TERM_KEY = attrgetter("monomial.key")  # the monomial order on terms, as a sort key
 
 
@@ -224,6 +221,8 @@ class ReductionLimitError(RuntimeError):
 @total_ordering
 class GeneratorId(_Record):
     """F(j) or G(k, l) with k < l; ordered by (kind, a, b) and hashable.
+    The constructor raises TypeError unless both indices are ``int``
+    (``bool`` is refused), and ValueError for an id out of range.
 
     ``F``, ``G`` and ``parse_generator_id`` return one interned object per
     id; the public constructor builds a new, equal one.  The hash of
@@ -237,6 +236,8 @@ class GeneratorId(_Record):
     def __init__(self, kind: str, a: int, b: int = -1):
         if kind not in ("F", "G"):
             raise ValueError(f"unknown generator kind {kind!r}")
+        if type(a) is not int or type(b) is not int:
+            raise TypeError(f"GeneratorId indices must be ints, got a={a!r}, b={b!r}")
         if kind == "F" and b != -1:
             raise ValueError(f"F takes one index, got a second index {b}")
         if kind == "F" and a < 0:
@@ -263,8 +264,9 @@ class GeneratorId(_Record):
         return f"F{self.a}" if self.kind == "F" else f"G{self.a},{self.b}"
 
 
-# the id cache: one GeneratorId per (kind, *indices) ever requested
-_generator_id = lru_cache(maxsize=None)(GeneratorId)
+# the id cache: one GeneratorId per (kind, *indices) ever requested; typed,
+# so that F(2.0) or F(True) reaches the constructor's type check even after F(2)
+_generator_id = lru_cache(maxsize=None, typed=True)(GeneratorId)
 
 
 def F(j: int) -> GeneratorId:
@@ -302,11 +304,6 @@ def generator(gid: GeneratorId) -> Polynomial:
     place where a rule's integer coefficients become Fractions."""
     lead, lc, tail, tc = _rewrite_rule(gid)
     return _polynomial((_term(Fraction(lc), lead), _term(Fraction(tc), tail)))
-
-
-def leading_term(p: Polynomial) -> Term:
-    """Maximal term under the monomial order; error on the zero polynomial."""
-    return p.leading_term()
 
 
 @lru_cache(maxsize=None)
@@ -395,7 +392,7 @@ def _invariant(m: Monomial) -> tuple[tuple[int, int, int, int], int]:
     return (z, m.x_exp + m.y_exp + pairs, size + pairs, mass + m.y_exp), wfact
 
 
-def _class_monomial(z: int, s: int, n: int, d: int) -> tuple[Optional[Monomial], int]:
+def _class_monomial(z: int, s: int, n: int, d: int) -> tuple[Monomial | None, int]:
     """(std, Wfact(std)) for the class I = (z, s, n, d), or (None, 0) when no
     monomial has that invariant.  For s >= 1, std is the class's one
     standard monomial; for s = 0, the window-shaped one of several."""
@@ -499,7 +496,7 @@ def normal_form(
     p: Polynomial,
     *,
     strategy: str = "largest",
-    rng: Optional[random.Random] = None,
+    rng=None,
 ) -> tuple[Polynomial, ReductionTrace]:
     """Reduce p to its unique standard-monomial representative modulo the
     ideal, returning the result together with a replayable trace.
@@ -507,8 +504,10 @@ def normal_form(
     strategy 'largest' (default, deterministic): reduce the largest reducible
     monomial by the applicable generator with the largest leading monomial.
     strategy 'random': reduce a uniformly chosen reducible term by a uniformly
-    chosen applicable generator (pass ``rng``); the result is identical by
-    confluence, which the test suite checks rather than assumes.
+    chosen applicable generator, drawn from ``rng``, a ``random.Random``
+    (a fresh one when None; only this strategy imports ``random``); the
+    result is identical by confluence, which the test suite checks rather
+    than assumes.
     Both raise ReductionLimitError past ``_step_bound(p)`` steps, which only
     a broken rewrite rule can reach.
     """
@@ -552,9 +551,9 @@ def nf(p: Polynomial) -> Polynomial:
 
 
 def _class_sums(items: Iterable[tuple], out: list[Term]) -> Polynomial:
-    """The class accumulator behind ``nf`` and ``quotient.r_mul``: the terms
-    of ``out`` plus sum(Wfact(std) * c / w) * std over the items (key, w, c),
-    as a Polynomial.  c is a nonzero Fraction or int and w a positive int.
+    """The class accumulator behind ``nf`` and ``quotient._products``: the
+    terms of ``out`` plus sum(Wfact(std) * c / w) * std over the items
+    (key, w, c), as a Polynomial.  c is a nonzero Fraction or int and w a positive int.
     An invariant key I stands for its class monomial std; a monomial key,
     which only a product with s = 0 gives, stands for itself, with
     Wfact(std) taken as 1.  The monomials of ``out`` have s = 0 and are not

@@ -15,8 +15,9 @@ on the tuple
 which realises the variable precedence z > x > y > w_l > w_k for l > k.
 
 Monomials are validated once, where they enter from outside: the public
-constructor ``Monomial(z, x, y, w)`` rejects negative exponents, zero
-w-exponents, negative w-indices and w-indices that do not strictly ascend.
+constructor ``Monomial(z, x, y, w)`` rejects exponents and indices that are
+not ``int`` (TypeError), negative exponents, zero w-exponents, negative
+w-indices and w-indices that do not strictly ascend.
 ``Monomial.build``, the parser and every other module construct through it.
 Products, lcms and exact quotients of valid monomials are valid by
 construction, so they skip the checks and build their results with the
@@ -28,7 +29,8 @@ certificate's rewrite chains do little else than build such monomials, so
 the checks would dominate their cost.
 
 Terms, like Monomials, are validated only at the public constructor
-``Term(c, m)``, which coerces c to ``Fraction`` and rejects 0.
+``Term(c, m)``, which coerces c to ``Fraction``, rejects 0 and rejects an m
+that is not a Monomial.
 ``Polynomial.from_terms`` is the one place that merges (coefficient,
 monomial) pairs by monomial: it coerces, adds only where a monomial
 repeats, drops zeros once at the end and sorts, before it builds any Term.
@@ -56,42 +58,11 @@ ring a Banach algebra; ``l1_norm`` computes it exactly.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Union
 
-Rational = Union[int, Fraction]
 _KEY = attrgetter("key")  # the monomial order, as a sort key
-
-
-class Variable(NamedTuple):
-    """One of the indeterminates: kind 'z', 'x', 'y' or 'w' with an index.
-
-    The index is 0 for x, y, z and the subscript for w-variables.
-    """
-
-    kind: str
-    index: int = 0
-
-    @property
-    def name(self) -> str:
-        return f"w{self.index}" if self.kind == "w" else self.kind
-
-    def __str__(self) -> str:
-        return self.name
-
-
-X = Variable("x")
-Y = Variable("y")
-Z = Variable("z")
-
-
-def W(index: int) -> Variable:
-    if index < 0:
-        raise ValueError(f"w-index must be nonnegative, got {index}")
-    return Variable("w", index)
-
-
 _set = object.__setattr__  # writes a slot past a record's read-only __setattr__
 
 
@@ -139,10 +110,11 @@ class Monomial(_Record):
     """Exponent record: z^z_exp * x^x_exp * y^y_exp * prod w_i^e_i.
 
     ``w`` holds (index, exponent) pairs with strictly ascending indices and
-    no zero exponents; the constructor raises ValueError otherwise (see the
-    module docstring for the operations that skip the check).  Instances
-    are immutable and hashable; ``key`` caches the order tuple used by
-    ``compare``, and the hash is computed once from it.
+    no zero exponents; the constructor raises ValueError otherwise, and
+    TypeError for an exponent or index that is not an ``int``, ``bool``
+    included (see the module docstring for the operations that skip the
+    checks).  Instances are immutable and hashable; ``key`` caches the order
+    tuple used by ``compare``, and the hash is computed once from it.
     """
 
     _fields = ("z_exp", "x_exp", "y_exp", "w")
@@ -155,6 +127,13 @@ class Monomial(_Record):
         y_exp: int = 0,
         w: tuple[tuple[int, int], ...] = (),
     ):
+        ints = (z_exp, x_exp, y_exp, *(n for pair in w for n in pair))
+        # exactly int, not bool: a float exponent would print as x^1.5, which parse rejects
+        if any(type(n) is not int for n in ints):
+            raise TypeError(
+                "exponents and w-indices must be ints in monomial "
+                f"{_repr(z_exp, x_exp, y_exp, w)}"
+            )
         if min(z_exp, x_exp, y_exp) < 0 or any(e <= 0 or i < 0 for i, e in w):
             raise ValueError(
                 f"invalid exponents in monomial {_repr(z_exp, x_exp, y_exp, w)}"
@@ -297,15 +276,17 @@ def compare(m1: Monomial, m2: Monomial) -> int:
 class Term(_Record):
     """One nonzero term coefficient * monomial, an immutable value.
 
-    The public constructor coerces the coefficient to ``Fraction`` and
-    rejects 0; ``Polynomial``'s own operations and ``ideal.generator`` build
-    their Terms with the private, unchecked ``_term`` (see the module
-    docstring).
+    The public constructor coerces the coefficient to ``Fraction``, rejects
+    0 and raises TypeError unless the monomial is a Monomial;
+    ``Polynomial``'s own operations and ``ideal.generator`` build their
+    Terms with the private, unchecked ``_term`` (see the module docstring).
     """
 
     __slots__ = _fields = ("coefficient", "monomial")
 
-    def __init__(self, coefficient: Rational, monomial: Monomial):
+    def __init__(self, coefficient: int | Fraction, monomial: Monomial):
+        if not isinstance(monomial, Monomial):
+            raise TypeError(f"Term takes a coefficient and a Monomial, got {monomial!r}")
         if not isinstance(coefficient, Fraction):
             coefficient = Fraction(coefficient)
         if coefficient == 0:
@@ -362,7 +343,7 @@ class Polynomial(_Record):
         return hash(self.terms)
 
     @staticmethod
-    def from_terms(pairs: Iterable[tuple[Rational, Monomial]]) -> Polynomial:
+    def from_terms(pairs: Iterable[tuple[int | Fraction, Monomial]]) -> Polynomial:
         acc: dict[Monomial, Fraction] = {}
         for c, m in pairs:
             if not isinstance(c, Fraction):
@@ -377,11 +358,11 @@ class Polynomial(_Record):
         return _polynomial(())
 
     @staticmethod
-    def constant(c: Rational) -> Polynomial:
+    def constant(c: int | Fraction) -> Polynomial:
         return Polynomial.from_terms([(Fraction(c), ONE)])
 
     @staticmethod
-    def monomial(m: Monomial, c: Rational = 1) -> Polynomial:
+    def monomial(m: Monomial, c: int | Fraction = 1) -> Polynomial:
         return Polynomial.from_terms([(Fraction(c), m)])
 
     def is_zero(self) -> bool:
@@ -404,7 +385,7 @@ class Polynomial(_Record):
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
 
-    def __mul__(self, other: Polynomial | Rational) -> Polynomial:
+    def __mul__(self, other: Polynomial | int | Fraction) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if c == 0:
@@ -420,7 +401,7 @@ class Polynomial(_Record):
 
     __rmul__ = __mul__
 
-    def mul_term(self, c: Rational, m: Monomial) -> Polynomial:
+    def mul_term(self, c: int | Fraction, m: Monomial) -> Polynomial:
         """Multiply by the single term c*m (exact, order preserved)."""
         c = Fraction(c)
         if c == 0:

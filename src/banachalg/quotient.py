@@ -11,16 +11,18 @@ monomial m maps to rho(m) * std(m) with 0 < rho <= 1 (see ``ideal``), so:
     it extends to the completion and vanishes on the closure of the ideal;
     passing to the closure therefore cannot lower the distance.
 
-``r_mul`` multiplies by class sums.  The product a*b of two normal forms
-is never built: ``ideal`` proves that I(m1*m2) follows from I(m1) and
-I(m2) (additive up to a z-parity carry) and that Wfact is multiplicative,
-so each pair of terms adds (c1 / Wfact(m1)) * (c2 / Wfact(m2)) to the sum
-of its product's class in ``ideal._class_sums``, the accumulator ``nf``
-uses.  Only pairs whose product has s = 0 multiply monomials; they pass
-through unreduced, and their factors need no factorial.  The result
-equals project(a.poly * b.poly), the route the tests keep as the oracle.
-``_products`` sums several products in one accumulator the same way;
-``series.residual`` reads each order of its residual through it.
+``_products`` multiplies by class sums.  A product p*q is never built:
+``ideal`` proves that I(m1*m2) follows from I(m1) and I(m2) (additive up
+to a z-parity carry) and that Wfact is multiplicative, so each pair of
+terms adds (c1 / Wfact(m1)) * (c2 / Wfact(m2)) to the sum of its
+product's class in ``ideal._class_sums``, the accumulator ``nf`` uses.
+Only pairs whose product has s = 0 multiply monomials; they pass through
+unreduced, and their factors need no factorial.  Several products share
+one accumulator, so the result equals project(sum(p*q)).  ``r_mul(a, b)``
+is ``_products`` of the one pair (a.poly, b.poly), and equals
+project(a.poly * b.poly), the route the tests keep as the oracle;
+``series.residual`` reads each order of its residual through
+``_products`` of two pairs.
 
 ``divide_by_x`` inverts multiplication by x on normal forms through the
 class invariant I of ``ideal``.  Multiplying by x adds I(x) = (0, 1, 0, 0),
@@ -43,9 +45,9 @@ unique and the round trip is exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Optional
 
 from .ideal import _TERM_KEY, _class_monomial, _class_sums, _invariant, is_standard, nf
 from .poly import Polynomial, Term, _polynomial, _Record, _set, _term, l1_norm, to_str
@@ -57,6 +59,8 @@ class RElement(_Record):
     __slots__ = _fields = ("poly",)
 
     def __init__(self, poly: Polynomial):
+        if not isinstance(poly, Polynomial):
+            raise TypeError(f"RElement takes a Polynomial, got {poly!r}")
         if not is_standard(poly):
             raise ValueError(
                 "RElement requires a normal form; use project() to reduce first"
@@ -108,18 +112,17 @@ def r_add(a: RElement, b: RElement) -> RElement:
 
 
 def r_mul(a: RElement, b: RElement) -> RElement:
-    """a*b by class sums over the pairs of factor terms (module docstring);
-    equals project(a.poly * b.poly) and builds no full product."""
-    ta, tb = a.poly.terms, b.poly.terms
-    return _r_element(_class_sums(_pair_items(_factors(ta, tb), _factors(tb, ta)), []))
+    """a*b, as ``_products`` of the one pair; equals project(a.poly * b.poly)
+    and builds no full product."""
+    return _products((a.poly, b.poly))
 
 
 def _products(*pairs: tuple[Polynomial, Polynomial]) -> RElement:
-    """The class of the sum of p*q over the pairs (p, q), summed by class as
-    ``r_mul`` sums one product, in one accumulator; equals
-    project(sum(p*q)).  The factors need not be normal forms: I and Wfact
-    are read per factor term whatever its monomial, and a product with
-    s = 0 is standard."""
+    """The class of the sum of p*q over the pairs (p, q), summed by class
+    over the pairs of factor terms in one accumulator (module docstring);
+    equals project(sum(p*q)).  The factors need not be normal forms: I and
+    Wfact are read per factor term whatever its monomial, and a product
+    with s = 0 is standard."""
     items = chain.from_iterable(
         _pair_items(_factors(p.terms, q.terms), _factors(q.terms, p.terms)) for p, q in pairs
     )
@@ -150,8 +153,9 @@ def _factors(terms: tuple[Term, ...], partner: tuple[Term, ...]) -> list[tuple]:
 
 
 def _pair_items(fa: list[tuple], fb: list[tuple]) -> Iterator[tuple]:
-    """r_mul's feed for ``_class_sums``: one item per pair of factor terms,
-    keyed by I of the product, or by the product itself when it has s = 0."""
+    """The feed of ``_products`` for ``_class_sums``: one item per pair of
+    factor terms, keyed by I of the product, or by the product itself when
+    it has s = 0."""
     for z1, s1, n1, d1, u1, v1, vw1, m1 in fa:
         for z2, s2, n2, d2, u2, v2, vw2, m2 in fb:
             carry = z1 & z2
@@ -162,7 +166,7 @@ def _pair_items(fa: list[tuple], fb: list[tuple]) -> Iterator[tuple]:
                 yield m1 * m2, v1 * v2, u1 * u2
 
 
-def divide_by_x(g: RElement) -> Optional[RElement]:
+def divide_by_x(g: RElement) -> RElement | None:
     """Return h with project(x) * h == g, or None when no such h exists.
 
     Term by term on the normal form of g: c*m pulls back to

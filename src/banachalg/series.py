@@ -73,12 +73,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Union
 
 from .poly import Monomial, Polynomial, _Record, _set
 from .quotient import RElement, _products, divide_by_x, project, r_mul
-
-Rational = Union[int, Fraction]
 
 _X = Polynomial.monomial(Monomial.build(x=1))
 _Y = Polynomial.monomial(Monomial.build(y=1))
@@ -88,11 +85,14 @@ _MINUS_Y, _MINUS_ONE = -_Y, Polynomial.constant(-1)  # residual's factors of f_{
 
 
 class TruncatedSeriesR(_Record):
-    """Coefficients f_0 .. f_K of a series over the quotient, truncated at K."""
+    """Coefficients f_0 .. f_K of a series over the quotient, truncated at K;
+    the constructor takes a nonempty tuple of RElements."""
 
     __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: tuple[RElement, ...]):
+        if not isinstance(coeffs, tuple) or not all(isinstance(c, RElement) for c in coeffs):
+            raise TypeError("TruncatedSeriesR takes a tuple of RElements")
         if not coeffs:
             raise ValueError("a truncated series has at least the order-0 coefficient")
         _set(self, "coeffs", coeffs)
@@ -154,7 +154,7 @@ class DivergenceCertificate(_Record):
     __slots__ = _fields = ("bound", "reached_at", "table")
 
     def __init__(
-        self, bound: Fraction, reached_at: Optional[int], table: tuple[tuple[int, Fraction], ...]
+        self, bound: Fraction, reached_at: int | None, table: tuple[tuple[int, Fraction], ...]
     ):
         _set(self, "bound", bound)
         _set(self, "reached_at", reached_at)
@@ -170,7 +170,7 @@ class DivergenceCertificate(_Record):
 
 
 def divergence_certificate(
-    f: TruncatedSeriesR, bound: Rational
+    f: TruncatedSeriesR, bound: int | Fraction
 ) -> DivergenceCertificate:
     """Certify coefficient-norm growth using exact rational comparisons.
 

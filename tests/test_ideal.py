@@ -23,7 +23,6 @@ from banachalg.ideal import (
     generator,
     groebner_certificate,
     is_standard_monomial,
-    leading_term,
     nf,
     normal_form,
     parse_generator_id,
@@ -89,6 +88,24 @@ def test_generator_rejects_bad_ids():
     # the stray second index is named, not the valid first one
     with pytest.raises(ValueError, match="second index 5"):
         GeneratorId("F", 3, 5)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("F", 1.5), ("F", True), ("G", 0, 2.0), ("G", False, 2)],
+    ids=["float-F", "bool-F", "float-G", "bool-G"],
+)
+def test_generator_id_rejects_indices_that_are_not_ints(args):
+    # GeneratorId("F", 1.5) would give generator() = -(3/2)*x*w1.5 + y*w0.5,
+    # and GeneratorId("F", True) would print as FTrue
+    with pytest.raises(TypeError, match="GeneratorId indices must be ints"):
+        GeneratorId(*args)
+    # the interned ids check too, also once an equal int id is cached
+    kind, *indices = args
+    build = F if kind == "F" else G
+    build(*map(int, indices))
+    with pytest.raises(TypeError, match="GeneratorId indices must be ints"):
+        build(*indices)
 
 
 def test_generator_ids_are_interned():
@@ -203,17 +220,17 @@ def test_parse_generator_id_beyond_the_int_str_digit_limit(int_str_limit, text):
 
 
 def test_leading_terms_of_generators():
-    lt = leading_term(generator(F(0)))
+    lt = generator(F(0)).leading_term()
     assert (lt.coefficient, lt.monomial) == (Fraction(-1), m("z^2"))
-    lt = leading_term(generator(F(1)))
+    lt = generator(F(1)).leading_term()
     assert (lt.coefficient, lt.monomial) == (Fraction(-1), m("x*w1"))
-    lt = leading_term(generator(G(0, 1)))
+    lt = generator(G(0, 1)).leading_term()
     assert (lt.coefficient, lt.monomial) == (Fraction(2), m("y*w0*w2"))
 
 
 def test_leading_term_zero_raises():
     with pytest.raises(ValueError):
-        leading_term(Polynomial.zero())
+        Polynomial.zero().leading_term()
 
 
 # --- S-polynomials ----------------------------------------------------------
@@ -242,9 +259,9 @@ def test_spoly_leading_terms_cancel():
         p = nonzero_random_polynomial(rng)
         q = nonzero_random_polynomial(rng)
         s = s_polynomial(p, q)
-        big = leading_term(p).monomial.lcm(leading_term(q).monomial)
+        big = p.leading_term().monomial.lcm(q.leading_term().monomial)
         if not s.is_zero():
-            assert leading_term(s).monomial.key < big.key
+            assert s.leading_term().monomial.key < big.key
 
 
 # --- standard monomials -----------------------------------------------------

@@ -35,9 +35,9 @@ from conftest import subprocess_env
 # --- the namespace ------------------------------------------------------------
 
 HOMES = {
-    "poly": "Monomial ParseError Polynomial Term Variable W X Y Z compare l1_norm parse to_str",
+    "poly": "Monomial ParseError Polynomial Term compare l1_norm parse to_str",
     "ideal": "F G GeneratorId ReductionTrace generator groebner_certificate "
-    "is_standard_monomial leading_term nf normal_form s_polynomial",
+    "is_standard_monomial nf normal_form s_polynomial",
     "quotient": "RElement divide_by_x equal_mod_I project r_add r_mul",
     "series": "TruncatedSeriesR divergence_certificate residual solve_equation",
     "disc": "BRhoElement BRhoSeries brho_norm example1_residual example1_solutions "
@@ -48,6 +48,15 @@ HOMES = {
 def test_all_lists_the_public_names_in_order():
     expected = ["__version__"] + [name for names in HOMES.values() for name in names.split()]
     assert banachalg.__all__ == expected
+    assert len(expected) == 38
+
+
+def test_removed_names_are_gone():
+    for name in ("Variable", "W", "X", "Y", "Z", "leading_term"):
+        with pytest.raises(AttributeError):
+            getattr(banachalg, name)
+    assert not {"Variable", "W", "X", "Y", "Z"} & set(vars(banachalg.poly))
+    assert "leading_term" not in vars(banachalg.ideal)
 
 
 def test_every_public_name_is_the_object_of_its_home_module():
@@ -79,10 +88,11 @@ def test_unknown_attribute_raises_attribute_error_naming_it():
         exec("from banachalg import no_such_name", {})
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
-    """``code`` run by a fresh interpreter that imports this checkout."""
+def _python(code: str, *options: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter, started with the command-line
+    ``options``, that imports this checkout."""
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *options, "-c", code],
         capture_output=True,
         text=True,
         env=subprocess_env(),
@@ -105,10 +115,10 @@ def test_submodules_are_attributes_after_a_bare_import():
 # --- the import graph of each command ---------------------------------------------
 
 
-def _modules(body: str) -> set[str]:
+def _modules(body: str, *options: str) -> set[str]:
     """The modules loaded in a fresh interpreter after it runs ``body``."""
     code = f'{body}\nimport sys\nprint(" ".join(sorted(sys.modules)), file=sys.stderr)'
-    return set(_python(code).stderr.split())
+    return set(_python(code, *options).stderr.split())
 
 
 def _command(argv: list[str]) -> str:
@@ -176,6 +186,21 @@ def test_no_command_loads_dataclasses_or_random(loaded):
     for name, modules in loaded.items():
         assert not {"dataclasses", "random"} & modules, name
     assert "json" not in loaded["nf"] | loaded["norm"]
+
+
+STEPS = {f"import-{m}": f"import banachalg.{m}" for m in (*HOMES, "cli")}
+STEPS.update({name: _command(argv) for name, argv in COMMANDS.items()})
+STEPS["--version"] = _command(["--version"])
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_no_module_or_command_loads_typing(step):
+    # -S skips site, whose .pth files may import typing before the package
+    # does; the subtraction of a bare interpreter's modules above cannot see
+    # through that
+    modules = _modules(STEPS[step], "-S")
+    assert _package(modules)  # the step ran the package
+    assert "typing" not in modules
 
 
 # --- the records ------------------------------------------------------------------

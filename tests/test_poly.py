@@ -17,8 +17,6 @@ from banachalg.poly import (
     ParseError,
     Polynomial,
     Term,
-    Variable,
-    W,
     compare,
     l1_norm,
     parse,
@@ -364,7 +362,7 @@ class _LoopParser:
         if ch.isdigit():
             return Fraction(self.integer()), ONE
         if ch and ch in "xyzw":
-            v = self.parse_variable()
+            kind, index = self.parse_variable()
             e = 1
             if self.take("^"):
                 start = self.pos
@@ -372,24 +370,25 @@ class _LoopParser:
                 if e <= 0:
                     self.pos = start
                     raise self.error("exponent must be a positive integer")
-            if v.kind == "w":
-                return Fraction(1), Monomial.build(w={v.index: e})
-            return Fraction(1), Monomial.build(**{v.kind: e})
+            if kind == "w":
+                return Fraction(1), Monomial.build(w={index: e})
+            return Fraction(1), Monomial.build(**{kind: e})
         if ch == "":
             raise self.error("unexpected end of input" if not first else "empty term")
         raise self.error(f"unexpected character {ch!r}")
 
     def parse_variable(self):
+        """(kind, index): ("x", 0), ("y", 0), ("z", 0) or ("w", i)."""
         ch = self.text[self.pos]
         self.pos += 1
         if ch in "xyz":
-            return Variable(ch)
+            return ch, 0
         digits = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == digits:
             raise self.error("w must carry an index, e.g. w0")
-        return W(int(self.text[digits : self.pos]))
+        return "w", int(self.text[digits : self.pos])
 
 
 def _loop_parse(text):
@@ -540,6 +539,26 @@ def test_monomial_rejects_invalid_exponents(z, x, y, w):
 
 
 @pytest.mark.parametrize(
+    "z, x, y, w",
+    [
+        (0, 1.5, 0, ()),  # would print x^1.5, which parse rejects
+        (True, 0, 0, ()),  # bool is not int here
+        (0, 0, 1, ((1.5, 1),)),  # a float w-index
+        (0, 0, 1, ((1, 2.0),)),  # a float w-exponent, even an integral one
+        (0, 0, 1, ((1, True),)),
+    ],
+    ids=[
+        "float-exponent", "bool-exponent", "float-w-index", "float-w-exponent", "bool-w-exponent"
+    ],
+)
+def test_monomial_rejects_exponents_and_indices_that_are_not_ints(z, x, y, w):
+    with pytest.raises(TypeError, match="must be ints"):
+        Monomial(z, x, y, w)
+    with pytest.raises(TypeError, match="must be ints"):
+        Monomial.build(z, x, y, dict(w))
+
+
+@pytest.mark.parametrize(
     "w", [((1, 1), (1, 1)), ((3, 1), (0, 1)), ((0, 1), (2, 1), (2, 3))]
 )
 def test_monomial_rejects_unsorted_or_repeated_w_indices(w):
@@ -594,6 +613,13 @@ def test_term_constructor_coerces_and_rejects_zero():
     for zero in (0, Fraction(0)):
         with pytest.raises(ValueError, match="zero coefficient"):
             Term(zero, mono)
+
+
+def test_term_constructor_rejects_a_monomial_that_is_not_a_monomial():
+    # "x" would be accepted and fail only when printed
+    for bad in ("x", parse("x"), None):
+        with pytest.raises(TypeError, match="Term takes a coefficient and a Monomial"):
+            Term(1, bad)
 
 
 def test_term_is_read_only():

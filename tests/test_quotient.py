@@ -28,6 +28,7 @@ from banachalg.poly import Monomial, Polynomial, l1_norm, parse, to_str
 from banachalg.quotient import (
     R_ZERO,
     RElement,
+    _products,
     divide_by_x,
     equal_mod_I,
     project,
@@ -58,6 +59,13 @@ def test_project_examples():
 def test_relement_requires_normal_form():
     with pytest.raises(ValueError):
         RElement(parse("z^2"))
+
+
+def test_relement_requires_a_polynomial():
+    # not a later AttributeError on .terms
+    for bad in (5, "x*w0", parse("x*w0").terms, project(parse("w1"))):
+        with pytest.raises(TypeError, match="RElement takes a Polynomial"):
+            RElement(bad)
 
 
 def test_project_is_standard_without_the_check(monkeypatch):
@@ -191,6 +199,7 @@ def test_r_mul_matches_the_product_route():
     for a, b in corpus:
         out = r_mul(a, b)
         assert to_str(out.poly) == _product_route(a, b)
+        assert out == _products((a.poly, b.poly))
         assert all(type(t.coefficient) is Fraction for t in out.poly.terms)
     assert r_mul(*corpus[7]).is_zero()  # the cancelling class
     assert sum(r_mul(a, b).is_zero() for a, b in corpus) >= 2

@@ -54,6 +54,15 @@ def test_residual_of_solution_is_zero():
     assert residual(solve_equation(20)).is_zero()
 
 
+def test_series_constructor_takes_a_tuple_of_relements():
+    with pytest.raises(TypeError, match="tuple of RElements"):
+        TruncatedSeriesR((1, 2))
+    with pytest.raises(TypeError, match="tuple of RElements"):
+        TruncatedSeriesR((R_ZERO, parse("w0")))  # a Polynomial, not its class
+    with pytest.raises(TypeError, match="tuple of RElements"):
+        TruncatedSeriesR([R_ZERO])
+
+
 def test_residual_of_zero_series():
     r = residual(TruncatedSeriesR((R_ZERO,) * 3))
     assert r.coeffs[0].poly == parse("-x*w0")
