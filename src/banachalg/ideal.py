@@ -16,19 +16,22 @@ unique normal form supported on standard monomials.
 ``_rewrite_rule(gid)`` is the one place that writes these formulas, as
 (lead, lc, tail, tc) with integer coefficients; ``generator`` builds its
 Polynomial from that rule, and is the one place that makes them Fractions.
-``divisor_generators(m)`` lists the generators whose leading monomial
-divides m, largest leading monomial first, in an order written out rather
-than sorted.  The monomial order compares total degree, then z, x and y,
-then the w-exponents from the highest index down.  So every G (degree 3)
-precedes F0 and the F_j (degree 2); G_{lo,hi-1}, led by y*w_lo*w_hi, ranks
-by hi, then by lo; z^2 beats every x*w_j; and x*w_j ranks by j.
-``is_standard_monomial(m)`` is ``not divisor_generators(m)``.
+``_divisor_order`` lists the generators whose leading monomial divides a
+monomial, largest leading monomial first, in an order written out rather
+than sorted; it is the one place that writes this order.
+``divisor_generators(m)`` is its tuple for m, and the certificate's chain
+step takes its first item.  The monomial order compares total degree, then
+z, x and y, then the w-exponents from the highest index down.  So every G
+(degree 3) precedes F0 and the F_j (degree 2); G_{lo,hi-1}, led by
+y*w_lo*w_hi, ranks by hi, then by lo; z^2 beats every x*w_j; and x*w_j
+ranks by j.  ``is_standard_monomial(m)`` is ``not divisor_generators(m)``.
 
 The module keeps two caches, both keyed by generator ids and neither by
 monomials: ``F``, ``G`` and ``parse_generator_id`` return one interned
 object per id, and ``_rewrite_rule`` holds one rule per id.  Each holds at
 most one entry per id ever requested, (N + 1) + N(N - 1)/2 for the ids
-with w-indices <= N.  The certificate's chain memo lives for one call.
+with w-indices <= N.  The certificate's rule vectors and chain memo live
+for one call.
 
 Because the basis is binomial, every monomial m reduces to a single term
 rho(m) * std(m) (Eisenbud & Sturmfels, "Binomial ideals", 1996), and one
@@ -174,7 +177,27 @@ m -> (m/lm)*tm changes U(m) by a multiple of a generator, with no scalar to
 track, and lowers m.  So the S-polynomial reduces to 0 when the rewrite
 chains of m1 and m2 end in the same monomial (Buchberger's criterion); the
 certificate follows both chains step by step.
-Chain ends are memoised within one call.
+
+The certificate builds no Monomial along a chain.  Each call holds the
+rules it uses as dense exponent vectors (z, x, y, e_0 .. e_N), N =
+``max_index``: the leading monomial and delta = tail - lead, made once per
+rule.  ``_s_pair`` is the one S-pair builder of all four phases.  It takes
+the lcm of the two leads as their componentwise max and returns the two
+terms left of S(p, q) once the leading terms cancel, (-lc_q*tc_p, lcm +
+delta_p, lc_p*tc_q, lcm + delta_q), in integers; phases (i)-(iii) turn
+them into one two-term Polynomial and divide it with ``reduce_by_single``.
+The vectors along a chain are ``bytes``, one byte per exponent: every
+rule is homogeneous of degree at most 3, so no exponent on a chain passes
+6, and a bytes object is small and keeps its hash for the memo.
+A chain step takes the first generator of ``_divisor_order`` for the
+vector's w-support, checks that its lead divides the vector componentwise
+(ValueError otherwise, as ``/`` raises for monomials) and adds its delta.
+Chain ends are memoised within one call.  A rule with a w-index above N
+raises ValueError naming its generator.  The rows keep what their text is
+made from, and format ``lhs`` and ``rhs`` when they are first read: a
+phase-(iv) row keeps its pair ids and the two rule entries it was checked
+with, not its vectors, so plain text output, which prints only failing
+rows, formats no passing row.
 
 S-polynomials use the fraction-free convention
 
@@ -192,7 +215,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import factorial, gcd
-from operator import attrgetter
+from operator import add, attrgetter, le, sub
 
 from .poly import (
     Monomial,
@@ -203,7 +226,6 @@ from .poly import (
     _Record,
     _monomial,
     _polynomial,
-    _rewrite_monomial,
     _set,
     _term,
     format_term,
@@ -408,18 +430,27 @@ def _class_monomial(z: int, s: int, n: int, d: int) -> tuple[Monomial | None, in
 
 def divisor_generators(m: Monomial) -> tuple[GeneratorId, ...]:
     """Generators whose leading monomial divides m, largest leading monomial
-    first.  Only finitely many can apply; they are read off the w-support,
-    already in order (see the module docstring).
-    """
-    idx = [i for i, _ in reversed(m.w)]  # descending
-    out = []
-    if m.y_exp:
-        out = [G(lo, hi - 1) for n, hi in enumerate(idx) for lo in idx[n + 1 :] if hi - lo >= 2]
-    if m.z_exp >= 2:
-        out.append(F(0))
-    if m.x_exp:
-        out += [F(j) for j in idx if j]
-    return tuple(out)
+    first: ``_divisor_order`` over m's w-support."""
+    return tuple(_divisor_order(m.z_exp, m.x_exp, m.y_exp, [i for i, _ in reversed(m.w)]))
+
+
+def _divisor_order(z: int, x: int, y: int, idx: list[int]) -> Iterator[GeneratorId]:
+    """The generators whose leading monomial divides z^z * x^x * y^y times a
+    w-part with support ``idx`` (descending), largest leading monomial first:
+    the one place that writes this order (see the module docstring).  Only
+    finitely many can apply, and they are read off the w-support, already in
+    order; a caller that needs only the first stops there."""
+    if y:
+        for n, hi in enumerate(idx):
+            for lo in idx[n + 1 :]:
+                if hi - lo >= 2:
+                    yield G(lo, hi - 1)
+    if z >= 2:
+        yield F(0)
+    if x:
+        for j in idx:
+            if j:
+                yield F(j)
 
 
 class ReductionStep(_Record):
@@ -603,14 +634,42 @@ def reduce_by_single(p: Polynomial, gid: GeneratorId) -> tuple[Polynomial, Polyn
 
 
 class IdentityCheck(_Record):
-    __slots__ = _fields = ("identity", "indices", "passed", "lhs", "rhs")
+    """One identity of the certificate and whether it holds.
+
+    The public constructor takes ``lhs`` and ``rhs`` as text.  The
+    certificate builds its rows with ``_check``, which keeps what the text
+    is made from and formats ``lhs`` and ``rhs`` on their first read, so a
+    row that is never printed formats nothing.  ``==``, the hash, ``repr``
+    and pickling read the text, and so agree with a row built from it."""
+
+    _fields = ("identity", "indices", "passed", "lhs", "rhs")
+    __slots__ = ("identity", "indices", "passed", "_lhs", "_rhs", "_render")
 
     def __init__(self, identity: str, indices: tuple[int, ...], passed: bool, lhs: str, rhs: str):
-        _set(self, "identity", identity)
-        _set(self, "indices", indices)
-        _set(self, "passed", passed)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
+        _fill_check(self, identity, indices, passed, None)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+
+    @property
+    def lhs(self) -> str:
+        if self._render is not None:
+            self._format()
+        return self._lhs
+
+    @property
+    def rhs(self) -> str:
+        if self._render is not None:
+            self._format()
+        return self._rhs
+
+    def _format(self) -> None:
+        """Format lhs and rhs by the row's render tuple (function, *args),
+        then drop the tuple."""
+        render, *args = self._render
+        lhs, rhs = render(*args)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_render(self, None)
 
     def to_json(self) -> dict:
         return {
@@ -620,6 +679,27 @@ class IdentityCheck(_Record):
             "lhs": self.lhs,
             "rhs": self.rhs,
         }
+
+
+_set_identity, _set_indices, _set_passed, _set_lhs, _set_rhs, _set_render = (
+    IdentityCheck.__dict__[name].__set__ for name in IdentityCheck.__slots__
+)
+
+
+def _fill_check(
+    row: IdentityCheck, identity: str, indices: tuple[int, ...], passed: bool, render: tuple | None
+) -> IdentityCheck:
+    _set_identity(row, identity)
+    _set_indices(row, indices)
+    _set_passed(row, passed)
+    _set_render(row, render)
+    return row
+
+
+def _check(identity: str, indices: tuple[int, ...], passed: bool, render: tuple) -> IdentityCheck:
+    """The certificate's row builder: ``render`` is (function, *args), and
+    function(*args) returns (lhs, rhs) when the row is first read."""
+    return _fill_check(object.__new__(IdentityCheck), identity, indices, passed, render)
 
 
 class CertificateReport(_Record):
@@ -699,7 +779,10 @@ def groebner_certificate(max_index: int) -> CertificateReport:
             monomials reduces to 0: both generators satisfy the rescaling
             lemma and the rewrite chains of its two monomials end in the
             same monomial (see the module docstring)
-    Failures are reported in the result, never raised.
+    Failures are reported in the result, never raised.  A rule table that
+    the certificate cannot follow raises ValueError: a chain step whose
+    rule's leading monomial does not divide the monomial, or a rule with a
+    w-index above max_index.
 
     Phase (iv) checks the lemma for the two generators of each pair, not
     for the generators a chain steps along.  Chains never raise a w-index
@@ -710,112 +793,183 @@ def groebner_certificate(max_index: int) -> CertificateReport:
     """
     if max_index < 2:
         raise ValueError("max_index must be at least 2")
+    # the rule vectors (lemma included) and the chain memo live for this
+    # call only, so every call certifies from scratch
+    rules = _RuleVectors(max_index)
     checks: list[IdentityCheck] = []
 
     for k in range(0, max_index - 1):
         for l in range(k + 1, max_index):
-            s = s_polynomial(generator(F(k + 1)), generator(F(l + 1)))
+            s = _s_polynomial(F(k + 1), F(l + 1), rules)
             g = generator(G(k, l))
             checks.append(
-                IdentityCheck(
-                    "S(F_{k+1},F_{l+1}) = G_{k,l}",
-                    (k, l),
-                    s == g,
-                    to_str(s),
-                    to_str(g),
-                )
+                _check("S(F_{k+1},F_{l+1}) = G_{k,l}", (k, l), s == g, (_texts, s, g))
             )
 
     for k in range(0, max_index - 1):
         for l in range(k + 1, max_index):
-            s = s_polynomial(generator(G(k, l)), generator(F(l + 1)))
+            s = _s_polynomial(G(k, l), F(l + 1), rules)
             quotient, remainder = reduce_by_single(s, F(k + 1))
             expected_q = Polynomial.monomial(
                 Monomial.build(y=1, w={l: 1}), l + 1
             )
             ok = remainder.is_zero() and quotient == expected_q
             checks.append(
-                IdentityCheck(
+                _check(
                     "S(G_{k,l},F_{l+1}) = (l+1)*y*w_l * F_{k+1}",
                     (k, l),
                     ok,
-                    f"quotient {to_str(quotient)}, remainder {to_str(remainder)}",
-                    f"quotient {to_str(expected_q)}, remainder 0",
+                    (_division_texts, quotient, remainder, expected_q),
                 )
             )
 
     for k in range(1, max_index - 1):
         for l in range(k + 1, max_index):
-            s = s_polynomial(generator(G(k, l)), generator(F(k)))
+            s = _s_polynomial(G(k, l), F(k), rules)
             _, remainder = reduce_by_single(s, F(k + 1))
             expected = generator(G(k - 1, l)).mul_term(1, Monomial.build(y=1))
             checks.append(
-                IdentityCheck(
+                _check(
                     "rem(S(G_{k,l},F_k), F_{k+1}) = y*G_{k-1,l}",
                     (k, l),
                     remainder == expected,
-                    to_str(remainder),
-                    to_str(expected),
+                    (_texts, remainder, expected),
                 )
             )
 
-    # phase (iv): memo and lemma cache live for this call only, so every
-    # call certifies from scratch
-    ends: dict[Monomial, Monomial] = {}
-    lemma: dict[GeneratorId, bool] = {}
+    ends: dict[bytes, bytes] = {}
     for p_id, q_id in _noncoprime_pairs(max_index):
-        lm_p, lc_p, tm_p, tc_p = _rewrite_rule(p_id)
-        lm_q, lc_q, tm_q, tc_q = _rewrite_rule(q_id)
-        big = lm_p.lcm(lm_q)
-        # the two terms left of s_polynomial once the leading terms cancel
-        m1 = _rewrite_monomial(big, lm_p, tm_p)
-        m2 = _rewrite_monomial(big, lm_q, tm_q)
-        lhs = _binomial_str(-lc_q * tc_p, m1, lc_p * tc_q, m2)
+        p, q = rules[p_id], rules[q_id]
+        _, m1, _, m2 = _s_pair(p, q)
         passed = (
-            _lemma_holds(p_id, lemma)
-            and _lemma_holds(q_id, lemma)
-            and (m1 == m2 or _chain_end(m1, ends) == _chain_end(m2, ends))
+            p[5]  # the rescaling lemma
+            and q[5]
+            and (m1 == m2 or _chain_end(m1, ends, rules) == _chain_end(m2, ends, rules))
         )
         checks.append(
-            IdentityCheck(
+            _check(
                 "nf(S(p,q)) = 0",
                 _pair_indices(p_id, q_id),
                 passed,
-                f"S({p_id},{q_id}) = {lhs}",
-                "0",
+                (_s_pair_texts, p_id, q_id, p, q),
             )
         )
 
     return CertificateReport(max_index, tuple(checks))
 
 
-def _lemma_holds(gid: GeneratorId, cache: dict[GeneratorId, bool]) -> bool:
-    """The rescaling lemma lc*Wfact(tm) == -tc*Wfact(lm) for generator(gid),
-    in integers: after w_i = u_i/i! the generator is a scalar multiple of a
-    difference of two monomials."""
-    ok = cache.get(gid)
-    if ok is None:
+class _RuleVectors(dict):
+    """gid -> (lead, support, delta, lc, tc, lemma) for one certificate
+    call, built on first use from ``_rewrite_rule(gid)``: ``lead`` is the
+    leading monomial and ``delta`` the tail minus the lead, both as dense
+    exponent vectors (z, x, y, e_0 .. e_N) with N = max_index; ``support``
+    holds the (position, exponent) pairs of ``lead`` that are not 0; lc and
+    tc are the rule's integers; ``lemma`` says whether the rule satisfies
+    the rescaling lemma lc*Wfact(tm) == -tc*Wfact(lm), in integers.
+    ``down`` lists the w-indices N .. 0, the order in which a chain step
+    reads a w-support."""
+
+    __slots__ = ("max_index", "down")
+
+    def __init__(self, max_index: int):
+        super().__init__()
+        self.max_index = max_index
+        self.down = range(max_index, -1, -1)
+
+    def __missing__(self, gid: GeneratorId) -> tuple:
         lm, lc, tm, tc = _rewrite_rule(gid)
-        ok = cache[gid] = lc * _wfact(tm.w) == -tc * _wfact(lm.w)
-    return ok
+        lead = _vector(lm, gid, self.max_index)
+        support = tuple([(i, e) for i, e in enumerate(lead) if e])
+        delta = tuple(map(sub, _vector(tm, gid, self.max_index), lead))
+        lemma = lc * _wfact(tm.w) == -tc * _wfact(lm.w)
+        entry = self[gid] = (lead, support, delta, lc, tc, lemma)
+        return entry
 
 
-def _chain_end(m: Monomial, ends: dict[Monomial, Monomial]) -> Monomial:
-    """The last monomial of the chain m -> (m/lm)*tm along the first divisor
-    generator; every monomial on the way is memoised in ``ends``."""
+def _vector(m: Monomial, gid: GeneratorId, max_index: int) -> tuple[int, ...]:
+    """m, a monomial of the rule of gid, as the exponent vector
+    (z, x, y, e_0 .. e_N) with N = max_index."""
+    v = [m.z_exp, m.x_exp, m.y_exp] + [0] * (max_index + 1)
+    for i, e in m.w:
+        if i > max_index:
+            raise ValueError(
+                f"the rule of {gid} has the w-index {i}, above max_index {max_index}"
+            )
+        v[i + 3] = e
+    return tuple(v)
+
+
+def _vector_monomial(v: bytes | tuple[int, ...]) -> Monomial:
+    return _monomial(v[0], v[1], v[2], tuple([(i, e) for i, e in enumerate(v[3:]) if e]))
+
+
+def _s_pair(p: tuple, q: tuple) -> tuple:
+    """(c1, m1, c2, m2) for the ``_RuleVectors`` entries p and q of two
+    generators: the two terms left of their S-polynomial once the leading
+    terms cancel, with integers c1, c2 and exponent vectors m1, m2 held as
+    bytes.  The lcm of the leading monomials is their componentwise max,
+    which differs from p's lead only on the support of q's, and
+    m_i = lcm + delta_i."""
+    lead_p, _, delta_p, lc_p, tc_p, _ = p
+    _, support_q, delta_q, lc_q, tc_q, _ = q
+    big = list(lead_p)
+    for i, e in support_q:
+        if e > big[i]:
+            big[i] = e
+    return -lc_q * tc_p, bytes(map(add, big, delta_p)), lc_p * tc_q, bytes(map(add, big, delta_q))
+
+
+def _s_polynomial(p_id: GeneratorId, q_id: GeneratorId, rules: _RuleVectors) -> Polynomial:
+    """``s_polynomial(generator(p_id), generator(q_id))`` from ``_s_pair``:
+    the leading terms cancel exactly, so the two terms left are all of it."""
+    c1, m1, c2, m2 = _s_pair(rules[p_id], rules[q_id])
+    return Polynomial.from_terms(((c1, _vector_monomial(m1)), (c2, _vector_monomial(m2))))
+
+
+def _chain_end(
+    v: bytes, ends: dict[bytes, bytes], rules: _RuleVectors
+) -> bytes:
+    """The last exponent vector of the chain v -> v + delta along the first
+    generator of ``_divisor_order``; every vector on the way is memoised in
+    ``ends``.  ValueError when that generator's leading monomial does not
+    divide v."""
     path = []
-    while m not in ends:
-        gens = divisor_generators(m)
-        if not gens:
-            ends[m] = m
+    while v not in ends:
+        w = v[3:]
+        gid = next(_divisor_order(v[0], v[1], v[2], [i for i in rules.down if w[i]]), None)
+        if gid is None:
+            ends[v] = v
             break
-        lm, _, tm, _ = _rewrite_rule(gens[0])
-        path.append(m)
-        m = _rewrite_monomial(m, lm, tm)
-    end = ends[m]
+        lead, _, delta, _, _, _ = rules[gid]
+        if not all(map(le, lead, v)):
+            raise ValueError(f"{_vector_monomial(lead)} does not divide {_vector_monomial(v)}")
+        path.append(v)
+        v = bytes(map(add, v, delta))
+    end = ends[v]
     for seen in path:
         ends[seen] = end
     return end
+
+
+def _texts(lhs: Polynomial, rhs: Polynomial) -> tuple[str, str]:
+    return to_str(lhs), to_str(rhs)
+
+
+def _division_texts(
+    quotient: Polynomial, remainder: Polynomial, expected_q: Polynomial
+) -> tuple[str, str]:
+    return (
+        f"quotient {to_str(quotient)}, remainder {to_str(remainder)}",
+        f"quotient {to_str(expected_q)}, remainder 0",
+    )
+
+
+def _s_pair_texts(p_id: GeneratorId, q_id: GeneratorId, p: tuple, q: tuple) -> tuple[str, str]:
+    """A phase-(iv) row's text, from the ``_RuleVectors`` entries the row
+    was checked with: its S-polynomial, and 0."""
+    c1, m1, c2, m2 = _s_pair(p, q)
+    lhs = _binomial_str(c1, _vector_monomial(m1), c2, _vector_monomial(m2))
+    return f"S({p_id},{q_id}) = {lhs}", "0"
 
 
 def _binomial_str(c1: int, m1: Monomial, c2: int, m2: Monomial) -> str:

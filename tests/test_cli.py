@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -279,6 +280,9 @@ GROEBNER_VERIFY_DIGESTS = {
     ("text", "12"): "3d2a382e388a59c8406c97cf5157254640d75dc158882517e8a0c4adf4aa43cd",
     ("--verbose", "12"): "6cdac2ad7036b29e83adcba4aaa1f8f3915ff035164bb52ab58ecac71069815f",
     ("--json", "12"): "ee59edbfc7fdd6485d16c073fa8e22546a3b6dac5efdc7552da53d79915192e7",
+    ("text", "25"): "12f039ee16eab960b3a3b2fc1c326a620f92bf7f4db35a3e684209e382bb779f",
+    ("--verbose", "25"): "64d1de2ac1a1b4dba0a76ac41d02c0fb544b379afd621fab6dd08740c2c80c06",
+    ("--json", "25"): "d2edd8aebf183f7a1ecc556be72819748efd7a391e38a8b53f3fc83ff7f5f9e2",
 }
 
 
@@ -290,6 +294,49 @@ def test_groebner_verify_stdout_is_pinned(capsys, mode, max_index):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == GROEBNER_VERIFY_DIGESTS[mode, max_index]
+
+
+@pytest.mark.parametrize("verbose", [False, True], ids=["text", "verbose"])
+def test_groebner_verify_formats_only_the_rows_it_prints(capsys, monkeypatch, verbose):
+    # rows format their text when read: plain text mode prints no passing
+    # row, so it formats none; --verbose prints, and so formats, every row
+    import banachalg.ideal as ideal
+
+    calls = {"to_str": 0, "_binomial_str": 0}
+    reports = []
+    certificate = ideal.groebner_certificate
+
+    def spying(name):
+        real = getattr(ideal, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    def keeping(max_index):
+        reports.append(certificate(max_index))
+        return reports[-1]
+
+    for name in calls:
+        monkeypatch.setattr(ideal, name, spying(name))
+    monkeypatch.setattr(ideal, "groebner_certificate", keeping)
+    code, out, _ = run(capsys, "groebner-verify", "--max-index", "8", *(["--verbose"] if verbose else []))
+    assert code == 0
+    (report,) = reports
+    assert out.endswith(f"{len(report.checks)}/{len(report.checks)} identities hold\n")
+    phases = Counter(c.identity for c in report.checks)
+    phase_iv = phases.pop("nf(S(p,q)) = 0")
+    # two texts per row of phases (i) and (iii), three in phase (ii)
+    division = phases.pop("S(G_{k,l},F_{l+1}) = (l+1)*y*w_l * F_{k+1}")
+    expected_to_str = 2 * sum(phases.values()) + 3 * division
+    if verbose:
+        assert calls == {"to_str": expected_to_str, "_binomial_str": phase_iv}
+        assert all(c._render is None for c in report.checks)
+    else:
+        assert calls == {"to_str": 0, "_binomial_str": 0}
+        assert all(c._render is not None for c in report.checks)
 
 
 def test_remark(capsys):

@@ -956,6 +956,58 @@ def test_certificate_does_not_use_the_rewriting_engine(monkeypatch):
     assert groebner_certificate(8).all_passed
 
 
+def _phase_i_to_iii_oracle(max_index):
+    """(identity, (k, l)) -> (passed, lhs, rhs) for phases (i)-(iii), each
+    row rebuilt from s_polynomial of the two generators, reduce_by_single
+    and to_str, as the certificate computed them before it formed its
+    S-pairs on exponent vectors."""
+    out = {}
+    for k in range(0, max_index - 1):
+        for l in range(k + 1, max_index):
+            s = s_polynomial(generator(F(k + 1)), generator(F(l + 1)))
+            g = generator(G(k, l))
+            out["S(F_{k+1},F_{l+1}) = G_{k,l}", (k, l)] = (s == g, to_str(s), to_str(g))
+            s = s_polynomial(generator(G(k, l)), generator(F(l + 1)))
+            q, r = reduce_by_single(s, F(k + 1))
+            expected_q = Polynomial.monomial(Monomial.build(y=1, w={l: 1}), l + 1)
+            out["S(G_{k,l},F_{l+1}) = (l+1)*y*w_l * F_{k+1}", (k, l)] = (
+                r.is_zero() and q == expected_q,
+                f"quotient {to_str(q)}, remainder {to_str(r)}",
+                f"quotient {to_str(expected_q)}, remainder 0",
+            )
+            if k:
+                s = s_polynomial(generator(G(k, l)), generator(F(k)))
+                _, r = reduce_by_single(s, F(k + 1))
+                expected = generator(G(k - 1, l)).mul_term(1, m("y"))
+                out["rem(S(G_{k,l},F_k), F_{k+1}) = y*G_{k-1,l}", (k, l)] = (
+                    r == expected,
+                    to_str(r),
+                    to_str(expected),
+                )
+    return out
+
+
+def test_certificate_phases_i_to_iii_match_the_s_polynomial_route():
+    # like the phase-(iv) oracle: a row depends on (k, l) only, so one pass
+    # over max_index 12 covers every smaller certificate
+    oracle = _phase_i_to_iii_oracle(12)
+    for n in range(2, 13):
+        rows = [c for c in groebner_certificate(n).checks if c.identity != PHASE_IV]
+        assert len(rows) == 3 * (n - 1) * n // 2 - (n - 1)
+        for row in rows:
+            assert (row.passed, row.lhs, row.rhs) == oracle[row.identity, row.indices]
+
+
+def test_certificate_does_not_call_s_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("s_polynomial called")
+
+    monkeypatch.setattr("banachalg.ideal.s_polynomial", refuse)
+    report = groebner_certificate(8)
+    assert report.all_passed
+    report.to_json()  # rendering every row does not call it either
+
+
 @pytest.mark.parametrize(
     "d_lc, d_tc", [(1, 0), (-1, 0), (0, 1), (0, -1)], ids=["lc+1", "lc-1", "tc+1", "tc-1"]
 )
@@ -993,5 +1045,46 @@ def test_phase_iv_prints_integer_products(monkeypatch):
     monkeypatch.setattr("banachalg.ideal._binomial_str", spy)
     report = groebner_certificate(6)
     assert report.all_passed
+    # rows format their text when read, so read every one before counting
+    for row in report.checks:
+        row.lhs
     assert len(seen) == len(_phase_iv_rows(report)) > 0
     assert set(seen) == {(int, int)}
+
+
+@pytest.mark.parametrize(
+    "wrong, lead, message",
+    [
+        (G(0, 2), {0: 1, 4: 1}, "y*w0*w4 does not divide y*w0*w3"),
+        (G(0, 2), {0: 2, 3: 1}, "y*w0^2*w3 does not divide y*w0*w3"),
+        (G(1, 3), {1: 1, 5: 1}, "y*w1*w5 does not divide y*w1*w4"),
+    ],
+)
+def test_certificate_refuses_a_lead_that_does_not_divide(monkeypatch, wrong, lead, message):
+    # the divisor order picks the generator by its written formula; a rule
+    # whose lead does not divide the monomial so picked must stop the chain
+    # rather than step into negative exponents
+    rule = ideal._rewrite_rule
+
+    def wrapped(gid):
+        lm, lc, tm, tc = rule(gid)
+        return (Monomial.build(y=1, w=lead), lc, tm, tc) if gid == wrong else (lm, lc, tm, tc)
+
+    monkeypatch.setattr("banachalg.ideal._rewrite_rule", wrapped)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        groebner_certificate(6)
+
+
+@pytest.mark.parametrize("wrong", [F(3), G(1, 3)], ids=str)
+def test_certificate_names_a_rule_past_max_index(monkeypatch, wrong):
+    rule = ideal._rewrite_rule
+
+    def wrapped(gid):
+        lm, lc, tm, tc = rule(gid)
+        if gid == wrong:
+            tm = Monomial.build(y=1, w={9: 1})
+        return lm, lc, tm, tc
+
+    monkeypatch.setattr("banachalg.ideal._rewrite_rule", wrapped)
+    with pytest.raises(ValueError, match=f"^the rule of {wrong} has the w-index 9, above max_index 5$"):
+        groebner_certificate(5)
