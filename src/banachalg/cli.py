@@ -96,8 +96,12 @@ def cmd_nf(args) -> int:
     p = parse(args.expr)
 
     def payload() -> dict:
-        # text prints the closed form; only the JSON step count needs the rewriter
-        result, trace = normal_form(p)
+        # text prints the closed form; only the JSON step count needs the
+        # rewriter.  The closed form runs first: it refuses a w-index past
+        # factorial's range at once, where the rewriter's chain would grow
+        # without bound
+        result = nf(p)
+        _, trace = normal_form(p)
         return {
             "command": "nf",
             "input": to_str(p),

@@ -178,26 +178,46 @@ track, and lowers m.  So the S-polynomial reduces to 0 when the rewrite
 chains of m1 and m2 end in the same monomial (Buchberger's criterion); the
 certificate follows both chains step by step.
 
-The certificate builds no Monomial along a chain.  Each call holds the
-rules it uses as dense exponent vectors (z, x, y, e_0 .. e_N), N =
-``max_index``: the leading monomial and delta = tail - lead, made once per
-rule.  ``_s_pair`` is the one S-pair builder of all four phases.  It takes
-the lcm of the two leads as their componentwise max and returns the two
-terms left of S(p, q) once the leading terms cancel, (-lc_q*tc_p, lcm +
-delta_p, lc_p*tc_q, lcm + delta_q), in integers; phases (i)-(iii) turn
-them into one two-term Polynomial and divide it with ``reduce_by_single``.
-The vectors along a chain are ``bytes``, one byte per exponent: every
-rule is homogeneous of degree at most 3, so no exponent on a chain passes
-6, and a bytes object is small and keeps its hash for the memo.
-A chain step takes the first generator of ``_divisor_order`` for the
-vector's w-support, checks that its lead divides the vector componentwise
-(ValueError otherwise, as ``/`` raises for monomials) and adds its delta.
-Chain ends are memoised within one call.  A rule with a w-index above N
-raises ValueError naming its generator.  The rows keep what their text is
-made from, and format ``lhs`` and ``rhs`` when they are first read: a
-phase-(iv) row keeps its pair ids and the two rule entries it was checked
-with, not its vectors, so plain text output, which prints only failing
-rows, formats no passing row.
+The certificate builds no Monomial and no Polynomial until a row is read.
+Each call packs the monomials of the rules it uses into integers, one
+8-bit field per exponent: w_i's at bit 8*i, then y, x and z above w_N,
+N = ``max_index``.  An exponent uses the low 7 bits of its field; the top
+bit is a guard bit, and H, the guard bits of all fields, is one constant
+per call.  Every rule is homogeneous of degree at most 3, so no exponent
+on a chain passes 6; a step to one past 127 raises ValueError instead
+of wrapping.
+Each rule holds its lead and delta = tail - lead, made once per call, so
+one integer add does what (m / lead) * tail does for monomials:
+
+  * ``lead`` divides v iff ((v | H) - lead) & H == H, since a field of v
+    smaller than lead's borrows its own guard bit and stops there;
+  * a step m -> (m / lead) * tail is v + delta;
+  * the lcm of two leads is p's lead raised to q's exponents on the few
+    fields where q's lead is larger, a shift and an add per field;
+  * with z on top and w0 at the bottom, the integer order of two vectors
+    is the monomial order at equal degree, and every generator is
+    homogeneous.
+
+``_s_pair`` is the one S-pair builder of all four phases: it returns the
+two terms left of S(p, q) once the leading terms cancel, (-lc_q*tc_p,
+lcm + delta_p, lc_p*tc_q, lcm + delta_q), in integers.  Phases (i)-(iii)
+hold polynomials as {vector: coefficient} dicts and divide one by a single
+rule as ``reduce_by_single`` divides a Polynomial: largest vector first,
+within ``_step_bound``'s bound and raising ``ReductionLimitError`` past it.
+Phase (iv) follows the chains: a step takes the first generator of
+``_divisor_order`` for the vector's w-support, checks that its lead
+divides the vector (ValueError otherwise, as ``/`` raises for monomials)
+and adds its delta.  Chain ends are memoised by vector within one call.
+
+The rule table refuses what a chain could not follow, each with a
+ValueError naming the generator: a w-index above N, an exponent past 127,
+and a rule whose tail does not lower phi below its lead's.  Every valid
+rule lowers phi (above), and a chain along one that does not might never
+end.  The rows keep what their text is made from, and format ``lhs`` and
+``rhs`` when they are first read, through ``_vector_monomial``: a
+phase-(iv) row keeps the two rule entries it was checked with, not its
+vectors, so plain text output, which prints only failing rows, formats no
+passing row.
 
 S-polynomials use the fraction-free convention
 
@@ -215,7 +235,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import factorial, gcd
-from operator import add, attrgetter, le, sub
+from operator import attrgetter
 
 from .poly import (
     Monomial,
@@ -780,9 +800,10 @@ def groebner_certificate(max_index: int) -> CertificateReport:
             lemma and the rewrite chains of its two monomials end in the
             same monomial (see the module docstring)
     Failures are reported in the result, never raised.  A rule table that
-    the certificate cannot follow raises ValueError: a chain step whose
-    rule's leading monomial does not divide the monomial, or a rule with a
-    w-index above max_index.
+    the certificate cannot follow raises ValueError: a rule with a w-index
+    above max_index, a rule that does not lower phi, a chain step whose
+    rule's leading monomial does not divide the monomial, or an exponent
+    past 127, the largest a packed field holds.
 
     Phase (iv) checks the lemma for the two generators of each pair, not
     for the generators a chain steps along.  Chains never raise a w-index
@@ -796,180 +817,299 @@ def groebner_certificate(max_index: int) -> CertificateReport:
     # the rule vectors (lemma included) and the chain memo live for this
     # call only, so every call certifies from scratch
     rules = _RuleVectors(max_index)
+    guards = rules.guards
+    y = 1 << rules.w_bits  # the vector of the monomial y
     checks: list[IdentityCheck] = []
 
     for k in range(0, max_index - 1):
         for l in range(k + 1, max_index):
-            s = _s_polynomial(F(k + 1), F(l + 1), rules)
-            g = generator(G(k, l))
+            s = _s_terms(rules[F(k + 1)], rules[F(l + 1)], guards)
+            g = _terms(rules[G(k, l)], 0)
             checks.append(
-                _check("S(F_{k+1},F_{l+1}) = G_{k,l}", (k, l), s == g, (_texts, s, g))
+                _check("S(F_{k+1},F_{l+1}) = G_{k,l}", (k, l), s == g, (_texts, s, g, max_index))
             )
 
     for k in range(0, max_index - 1):
         for l in range(k + 1, max_index):
-            s = _s_polynomial(G(k, l), F(l + 1), rules)
-            quotient, remainder = reduce_by_single(s, F(k + 1))
-            expected_q = Polynomial.monomial(
-                Monomial.build(y=1, w={l: 1}), l + 1
-            )
-            ok = remainder.is_zero() and quotient == expected_q
+            remainder = _s_terms(rules[G(k, l)], rules[F(l + 1)], guards)
+            quotient = _divide(remainder, rules[F(k + 1)], rules)
+            expected_q = {y + (1 << 8 * l): l + 1}  # (l+1)*y*w_l
+            ok = not remainder and quotient == expected_q
             checks.append(
                 _check(
                     "S(G_{k,l},F_{l+1}) = (l+1)*y*w_l * F_{k+1}",
                     (k, l),
                     ok,
-                    (_division_texts, quotient, remainder, expected_q),
+                    (_division_texts, quotient, remainder, expected_q, max_index),
                 )
             )
 
     for k in range(1, max_index - 1):
         for l in range(k + 1, max_index):
-            s = _s_polynomial(G(k, l), F(k), rules)
-            _, remainder = reduce_by_single(s, F(k + 1))
-            expected = generator(G(k - 1, l)).mul_term(1, Monomial.build(y=1))
+            remainder = _s_terms(rules[G(k, l)], rules[F(k)], guards)
+            _divide(remainder, rules[F(k + 1)], rules)
+            expected = _terms(rules[G(k - 1, l)], y)
             checks.append(
                 _check(
                     "rem(S(G_{k,l},F_k), F_{k+1}) = y*G_{k-1,l}",
                     (k, l),
                     remainder == expected,
-                    (_texts, remainder, expected),
+                    (_texts, remainder, expected, max_index),
                 )
             )
 
-    ends: dict[bytes, bytes] = {}
+    ends = _ChainEnds(rules)
     for p_id, q_id in _noncoprime_pairs(max_index):
         p, q = rules[p_id], rules[q_id]
-        _, m1, _, m2 = _s_pair(p, q)
+        _, m1, _, m2 = _s_pair(p, q, guards)
         passed = (
             p[5]  # the rescaling lemma
             and q[5]
-            and (m1 == m2 or _chain_end(m1, ends, rules) == _chain_end(m2, ends, rules))
+            and (m1 == m2 or ends[m1] == ends[m2])
         )
         checks.append(
-            _check(
-                "nf(S(p,q)) = 0",
-                _pair_indices(p_id, q_id),
-                passed,
-                (_s_pair_texts, p_id, q_id, p, q),
-            )
+            _check("nf(S(p,q)) = 0", p[6] + q[6], passed, (_s_pair_texts, p, q, rules))
         )
 
     return CertificateReport(max_index, tuple(checks))
 
 
 class _RuleVectors(dict):
-    """gid -> (lead, support, delta, lc, tc, lemma) for one certificate
-    call, built on first use from ``_rewrite_rule(gid)``: ``lead`` is the
-    leading monomial and ``delta`` the tail minus the lead, both as dense
-    exponent vectors (z, x, y, e_0 .. e_N) with N = max_index; ``support``
-    holds the (position, exponent) pairs of ``lead`` that are not 0; lc and
+    """gid -> (lead, delta, support, lc, tc, lemma, indices, gid) for one
+    certificate call, built on first use from ``_rewrite_rule(gid)``.
+    ``lead`` is the leading monomial and ``delta`` the tail minus the lead,
+    as packed vectors (see ``_vector``) with N = max_index; ``support``
+    holds the (shift, exponent) pairs of the lead's nonzero fields; lc and
     tc are the rule's integers; ``lemma`` says whether the rule satisfies
-    the rescaling lemma lc*Wfact(tm) == -tc*Wfact(lm), in integers.
-    ``down`` lists the w-indices N .. 0, the order in which a chain step
-    reads a w-support."""
+    the rescaling lemma lc*Wfact(tm) == -tc*Wfact(lm), in integers;
+    ``indices`` are the indices of gid, as a phase-(iv) row lists them.
 
-    __slots__ = ("max_index", "down")
+    A rule whose tail does not lower phi = z + x + sum(i^2 * e_i) below its
+    lead's raises ValueError naming its generator, after ``_vector``'s
+    checks: every valid rule lowers it (see the module docstring), and a
+    chain along one that does not might never end.
+
+    ``guards`` holds the guard bit of every field, and ``w_bits`` is the
+    width of the w-part."""
+
+    __slots__ = ("max_index", "guards", "w_bits")
 
     def __init__(self, max_index: int):
         super().__init__()
         self.max_index = max_index
-        self.down = range(max_index, -1, -1)
+        self.guards = int.from_bytes(b"\x80" * (max_index + 4), "little")
+        self.w_bits = 8 * (max_index + 1)
 
     def __missing__(self, gid: GeneratorId) -> tuple:
+        n = self.max_index
         lm, lc, tm, tc = _rewrite_rule(gid)
-        lead = _vector(lm, gid, self.max_index)
-        support = tuple([(i, e) for i, e in enumerate(lead) if e])
-        delta = tuple(map(sub, _vector(tm, gid, self.max_index), lead))
+        lead = _vector(lm, gid, n)
+        tail = _vector(tm, gid, n)
+        phi_lead, phi_tail = _phi(lead, n), _phi(tail, n)
+        if phi_tail >= phi_lead:
+            raise ValueError(
+                f"the rule of {gid} does not lower its monomial: phi = z + x + "
+                f"sum(i^2 * e_i) goes from {phi_lead} to {phi_tail}"
+            )
+        fields = lead.to_bytes(n + 4, "little")
+        support = tuple([(8 * i, e) for i, e in enumerate(fields) if e])
         lemma = lc * _wfact(tm.w) == -tc * _wfact(lm.w)
-        entry = self[gid] = (lead, support, delta, lc, tc, lemma)
+        indices = (gid.a,) if gid.kind == "F" else (gid.a, gid.b)
+        entry = self[gid] = (lead, tail - lead, support, lc, tc, lemma, indices, gid)
         return entry
 
 
-def _vector(m: Monomial, gid: GeneratorId, max_index: int) -> tuple[int, ...]:
-    """m, a monomial of the rule of gid, as the exponent vector
-    (z, x, y, e_0 .. e_N) with N = max_index."""
-    v = [m.z_exp, m.x_exp, m.y_exp] + [0] * (max_index + 1)
+def _vector(m: Monomial, gid: GeneratorId, max_index: int) -> int:
+    """m, a monomial of the rule of gid, packed into one integer: one 8-bit
+    field per exponent, w_i's at bit 8*i and y, x and z in the three fields
+    above w_N, N = max_index.  An exponent may use the low 7 bits; the top
+    bit of each field is its guard bit.  ValueError for a w-index above N or
+    an exponent above 127."""
+    fields = [0] * (max_index + 1) + [m.y_exp, m.x_exp, m.z_exp]
     for i, e in m.w:
         if i > max_index:
             raise ValueError(
                 f"the rule of {gid} has the w-index {i}, above max_index {max_index}"
             )
-        v[i + 3] = e
-    return tuple(v)
+        fields[i] = e
+    if max(fields) > 127:
+        raise ValueError(f"the rule of {gid} has the exponent {max(fields)}, above 127")
+    return int.from_bytes(bytes(fields), "little")
 
 
-def _vector_monomial(v: bytes | tuple[int, ...]) -> Monomial:
-    return _monomial(v[0], v[1], v[2], tuple([(i, e) for i, e in enumerate(v[3:]) if e]))
+def _vector_monomial(v: int, max_index: int) -> Monomial:
+    f = v.to_bytes(max_index + 4, "little")
+    return _monomial(f[-1], f[-2], f[-3], tuple([(i, e) for i, e in enumerate(f[:-3]) if e]))
 
 
-def _s_pair(p: tuple, q: tuple) -> tuple:
-    """(c1, m1, c2, m2) for the ``_RuleVectors`` entries p and q of two
-    generators: the two terms left of their S-polynomial once the leading
-    terms cancel, with integers c1, c2 and exponent vectors m1, m2 held as
-    bytes.  The lcm of the leading monomials is their componentwise max,
-    which differs from p's lead only on the support of q's, and
-    m_i = lcm + delta_i."""
-    lead_p, _, delta_p, lc_p, tc_p, _ = p
-    _, support_q, delta_q, lc_q, tc_q, _ = q
-    big = list(lead_p)
-    for i, e in support_q:
-        if e > big[i]:
-            big[i] = e
-    return -lc_q * tc_p, bytes(map(add, big, delta_p)), lc_p * tc_q, bytes(map(add, big, delta_q))
+def _phi(v: int, max_index: int) -> int:
+    """phi = z + x + sum(i^2 * e_i) of a packed vector."""
+    f = v.to_bytes(max_index + 4, "little")
+    return f[-1] + f[-2] + sum([i * i * e for i, e in enumerate(f[:-3]) if e])
 
 
-def _s_polynomial(p_id: GeneratorId, q_id: GeneratorId, rules: _RuleVectors) -> Polynomial:
-    """``s_polynomial(generator(p_id), generator(q_id))`` from ``_s_pair``:
-    the leading terms cancel exactly, so the two terms left are all of it."""
-    c1, m1, c2, m2 = _s_pair(rules[p_id], rules[q_id])
-    return Polynomial.from_terms(((c1, _vector_monomial(m1)), (c2, _vector_monomial(m2))))
+def _divides(lead: int, v: int, guards: int) -> bool:
+    """Whether the packed monomial ``lead`` divides ``v``, fields at most 127:
+    with every guard bit set in v, a field of v below lead's borrows its
+    guard bit and no other."""
+    return ((v | guards) - lead) & guards == guards
 
 
-def _chain_end(
-    v: bytes, ends: dict[bytes, bytes], rules: _RuleVectors
-) -> bytes:
-    """The last exponent vector of the chain v -> v + delta along the first
-    generator of ``_divisor_order``; every vector on the way is memoised in
-    ``ends``.  ValueError when that generator's leading monomial does not
-    divide v."""
-    path = []
-    while v not in ends:
-        w = v[3:]
-        gid = next(_divisor_order(v[0], v[1], v[2], [i for i in rules.down if w[i]]), None)
-        if gid is None:
-            ends[v] = v
-            break
-        lead, _, delta, _, _, _ = rules[gid]
-        if not all(map(le, lead, v)):
-            raise ValueError(f"{_vector_monomial(lead)} does not divide {_vector_monomial(v)}")
-        path.append(v)
-        v = bytes(map(add, v, delta))
-    end = ends[v]
-    for seen in path:
-        ends[seen] = end
-    return end
-
-
-def _texts(lhs: Polynomial, rhs: Polynomial) -> tuple[str, str]:
-    return to_str(lhs), to_str(rhs)
-
-
-def _division_texts(
-    quotient: Polynomial, remainder: Polynomial, expected_q: Polynomial
-) -> tuple[str, str]:
-    return (
-        f"quotient {to_str(quotient)}, remainder {to_str(remainder)}",
-        f"quotient {to_str(expected_q)}, remainder 0",
+def _overflow(v: int, gid: GeneratorId, max_index: int) -> ValueError:
+    return ValueError(
+        f"the step by {gid} from {_vector_monomial(v, max_index)} "
+        "takes an exponent past 127"
     )
 
 
-def _s_pair_texts(p_id: GeneratorId, q_id: GeneratorId, p: tuple, q: tuple) -> tuple[str, str]:
+def _s_pair(p: tuple, q: tuple, guards: int) -> tuple:
+    """(c1, m1, c2, m2) for the ``_RuleVectors`` entries p and q of two
+    generators: the two terms left of their S-polynomial once the leading
+    terms cancel, with integers c1, c2 and packed vectors m1, m2.  The lcm
+    of the leading monomials differs from p's lead only on the support of
+    q's, where it takes the larger exponent, and m_i = lcm + delta_i.
+    ValueError for an exponent past 127."""
+    big, delta_p, _, lc_p, tc_p, _, _, p_id = p
+    _, delta_q, support_q, lc_q, tc_q, _, _, q_id = q
+    for shift, e in support_q:
+        e -= big >> shift & 127
+        if e > 0:
+            big += e << shift
+    m1 = big + delta_p
+    m2 = big + delta_q
+    if (m1 | m2) & guards:
+        raise ValueError(f"the S-polynomial of {p_id} and {q_id} has an exponent past 127")
+    return -lc_q * tc_p, m1, lc_p * tc_q, m2
+
+
+def _s_terms(p: tuple, q: tuple, guards: int) -> dict[int, int]:
+    """The S-polynomial of the entries p and q as {vector: coefficient}, as
+    ``s_polynomial(generator(p_id), generator(q_id))`` has it: the two terms
+    of ``_s_pair``, merged when their vectors agree, without zeros."""
+    c1, m1, c2, m2 = _s_pair(p, q, guards)
+    out = {m1: c1} if c1 else {}
+    c2 += out.get(m2, 0)
+    if c2:
+        out[m2] = c2
+    else:
+        out.pop(m2, None)
+    return out
+
+
+def _terms(entry: tuple, times: int) -> dict[int, int]:
+    """{vector: coefficient} of the entry's generator times the monomial of
+    the vector ``times``."""
+    lead, delta, _, lc, tc, _, _, _ = entry
+    return {lead + times: lc, lead + delta + times: tc}
+
+
+def _divide(work: dict, entry: tuple, rules: _RuleVectors) -> dict:
+    """Divide the {vector: coefficient} ``work`` by the entry's generator
+    alone, in place, as ``reduce_by_single`` divides a Polynomial: always at
+    the largest vector that the lead divides, within ``_step_bound``'s
+    bound.  ``work`` is left as the remainder; returns the quotient.
+    Integer order is the monomial order on vectors of one degree, which the
+    generators' homogeneity keeps."""
+    lead, delta, _, lc, tc, _, _, gid = entry
+    guards = rules.guards
+    bound = sum([_phi(v, rules.max_index) for v in work])
+    quotient: dict = {}
+    pending = sorted(work)
+    steps = 0
+    while pending:
+        v = pending.pop()
+        if v not in work or not _divides(lead, v, guards):
+            continue
+        if steps == bound:
+            raise _limit_error(bound)
+        steps += 1
+        c = work.pop(v)
+        scalar = c // lc if c.__class__ is int and not c % lc else Fraction(c, lc)
+        quotient[v - lead] = scalar  # v is popped once, and c is not 0
+        target = v + delta
+        if target & guards:
+            raise _overflow(v, gid, rules.max_index)
+        c = work.get(target, 0) - scalar * tc
+        if c:
+            work[target] = c
+        else:
+            work.pop(target, None)
+        i = bisect_left(pending, target)
+        if i == len(pending) or pending[i] != target:
+            pending.insert(i, target)
+    return quotient
+
+
+class _ChainEnds(dict):
+    """v -> the last vector of the chain v -> v + delta along the first
+    generator of ``_divisor_order``, for one certificate call: a missing v
+    runs its chain, and every vector on the way is memoised.  ValueError
+    when that generator's leading monomial does not divide the vector, or
+    when a step takes an exponent past 127."""
+
+    __slots__ = ("rules",)
+
+    def __init__(self, rules: _RuleVectors):
+        super().__init__()
+        self.rules = rules
+
+    def __missing__(self, v: int) -> int:
+        rules = self.rules
+        guards, w_bits = rules.guards, rules.w_bits
+        w_part = (1 << w_bits) - 1
+        path = []
+        while v not in self:
+            top = v >> w_bits  # z, x and y
+            idx = []  # the w-support, descending: the top field, then those below it
+            w = v & w_part
+            while w:
+                i = (w.bit_length() - 1) >> 3
+                idx.append(i)
+                w &= (1 << 8 * i) - 1
+            gid = next(_divisor_order(top >> 16, top >> 8 & 127, top & 127, idx), None)
+            if gid is None:
+                self[v] = v
+                break
+            lead, delta = rules[gid][:2]
+            if not _divides(lead, v, guards):
+                n = rules.max_index
+                raise ValueError(
+                    f"{_vector_monomial(lead, n)} does not divide {_vector_monomial(v, n)}"
+                )
+            path.append(v)
+            v += delta
+            if v & guards:
+                raise _overflow(path[-1], gid, rules.max_index)
+        end = self[v]
+        for seen in path:
+            self[seen] = end
+        return end
+
+
+def _text(terms: dict, max_index: int) -> str:
+    """``to_str`` of the {vector: coefficient} ``terms``."""
+    pairs = [(c, _vector_monomial(v, max_index)) for v, c in terms.items()]
+    return to_str(Polynomial.from_terms(pairs))
+
+
+def _texts(lhs: dict, rhs: dict, max_index: int) -> tuple[str, str]:
+    return _text(lhs, max_index), _text(rhs, max_index)
+
+
+def _division_texts(quotient: dict, remainder: dict, expected_q: dict, max_index: int) -> tuple[str, str]:
+    return (
+        f"quotient {_text(quotient, max_index)}, remainder {_text(remainder, max_index)}",
+        f"quotient {_text(expected_q, max_index)}, remainder 0",
+    )
+
+
+def _s_pair_texts(p: tuple, q: tuple, rules: _RuleVectors) -> tuple[str, str]:
     """A phase-(iv) row's text, from the ``_RuleVectors`` entries the row
     was checked with: its S-polynomial, and 0."""
-    c1, m1, c2, m2 = _s_pair(p, q)
-    lhs = _binomial_str(c1, _vector_monomial(m1), c2, _vector_monomial(m2))
-    return f"S({p_id},{q_id}) = {lhs}", "0"
+    c1, m1, c2, m2 = _s_pair(p, q, rules.guards)
+    n = rules.max_index
+    lhs = _binomial_str(c1, _vector_monomial(m1, n), c2, _vector_monomial(m2, n))
+    return f"S({p[7]},{q[7]}) = {lhs}", "0"
 
 
 def _binomial_str(c1: int, m1: Monomial, c2: int, m2: Monomial) -> str:
@@ -982,8 +1122,3 @@ def _binomial_str(c1: int, m1: Monomial, c2: int, m2: Monomial) -> str:
         c1, m1, c2, m2 = c2, m2, c1, m1
     return f"{format_term(c1, m1)} {format_term(c2, m2, leading=False)}"
 
-
-def _pair_indices(p_id: GeneratorId, q_id: GeneratorId) -> tuple[int, ...]:
-    out = [p_id.a] + ([p_id.b] if p_id.kind == "G" else [])
-    out += [q_id.a] + ([q_id.b] if q_id.kind == "G" else [])
-    return tuple(out)

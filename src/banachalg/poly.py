@@ -24,9 +24,11 @@ construction, so they skip the checks and build their results with the
 private ``_monomial``.  ``*`` and ``/`` both build through the rewrite
 helper ``_rewrite_monomial``, which computes (m / lead) * tail in one pass
 and raises ValueError when lead does not divide m; ``m * n`` is the rewrite
-with lead ``ONE`` and ``m / n`` the one with tail ``ONE``.  The
-certificate's rewrite chains do little else than build such monomials, so
-the checks would dominate their cost.
+with lead ``ONE`` and ``m / n`` the one with tail ``ONE``.  Each step of
+the rewriting engine ``ideal.normal_form`` builds two such monomials, the
+multiplier m / lead and the target multiplier * tail, so the checks would
+weigh on every step.  The certificate's chains build none: they run on
+packed integer exponent vectors (see ``ideal``).
 
 Terms, like Monomials, are validated only at the public constructor
 ``Term(c, m)``, which coerces c to ``Fraction``, rejects 0 and rejects an m

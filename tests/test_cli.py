@@ -426,6 +426,18 @@ def test_w_index_beyond_factorial_range_exits_2(capsys, command):
     assert err == "error: w-index 99999999999999999999 is too large for factorial\n"
 
 
+def test_json_nf_refuses_a_w_index_beyond_factorial_range_before_rewriting(capsys, monkeypatch):
+    # the rewriter's G chain from y*w0*wN takes about N/2 steps, so --json
+    # must fail on the closed form before it counts them
+    def refuse(*args, **kwargs):
+        raise AssertionError("normal_form called")
+
+    monkeypatch.setattr("banachalg.ideal.normal_form", refuse)
+    code, out, err = run(capsys, "--json", "nf", "y*w0*w99999999999999999999")
+    assert (code, out) == (2, "")
+    assert err == "error: w-index 99999999999999999999 is too large for factorial\n"
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
 )

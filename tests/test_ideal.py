@@ -1,9 +1,11 @@
 """Generators, S-polynomials, standard monomials, normal forms, certificate."""
 
+import contextlib
 import copy
 import pickle
 import random
 import re
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -944,8 +946,12 @@ def test_certificate_phase_iv_matches_the_rewriting_engine():
         assert len(rows) == len(pairs)
         for row, pair in zip(rows, pairs):
             assert (row.passed, row.lhs) == oracle[pair]
-            assert row.indices == ideal._pair_indices(*pair)
+            assert row.indices == _pair_indices(*pair)
             assert row.rhs == "0"
+
+
+def _pair_indices(p_id, q_id):
+    return tuple(i for gid in (p_id, q_id) for i in (gid.a, gid.b) if i >= 0)
 
 
 def test_certificate_does_not_use_the_rewriting_engine(monkeypatch):
@@ -1088,3 +1094,181 @@ def test_certificate_names_a_rule_past_max_index(monkeypatch, wrong):
     monkeypatch.setattr("banachalg.ideal._rewrite_rule", wrapped)
     with pytest.raises(ValueError, match=f"^the rule of {wrong} has the w-index 9, above max_index 5$"):
         groebner_certificate(5)
+
+
+@pytest.mark.parametrize("wrong", [G(1, 3), F(3)], ids=str)
+def test_certificate_refuses_a_rule_that_does_not_lower_phi(monkeypatch, wrong):
+    # a rule whose tail is its lead steps a chain to itself forever; every
+    # valid rule lowers phi = z + x + sum(i^2 * e_i), so the rule table
+    # refuses one that does not before any chain runs
+    rule = ideal._rewrite_rule
+
+    def wrapped(gid):
+        lm, lc, tm, tc = rule(gid)
+        return (lm, lc, lm, tc) if gid == wrong else (lm, lc, tm, tc)
+
+    monkeypatch.setattr("banachalg.ideal._rewrite_rule", wrapped)
+    phi = 17 if wrong.kind == "G" else 10  # y*w1*w4 and x*w3
+    message = f"the rule of {wrong} does not lower its monomial: phi = z + x + sum(i^2 * e_i) goes from {phi} to {phi}"
+    with _within_a_second(), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        groebner_certificate(5)
+
+
+@contextlib.contextmanager
+def _within_a_second():
+    """Raise TimeoutError in the block after one second: a lost check
+    that would let a loop spin for ever fails the test instead."""
+
+    def hung(signum, frame):
+        raise TimeoutError("still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_certificate_refuses_a_chain_step_past_a_field(monkeypatch):
+    # every G tail with 70 more y's: the first chain with two G steps would
+    # reach y^141, past the 127 that a packed field holds, and must not wrap
+    rule = ideal._rewrite_rule
+
+    def wrapped(gid):
+        lm, lc, tm, tc = rule(gid)
+        if gid.kind == "G":
+            tm = Monomial.build(y=tm.y_exp + 70, w=dict(tm.w))
+        return lm, lc, tm, tc
+
+    monkeypatch.setattr("banachalg.ideal._rewrite_rule", wrapped)
+    message = "the step by G1,2 from y^71*w1*w3 takes an exponent past 127"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        groebner_certificate(5)
+
+
+def test_certificate_builds_no_polynomial_until_a_row_is_read(monkeypatch):
+    import banachalg.poly as poly
+
+    oracle = _phase_i_to_iii_oracle(8)  # also fills the rule cache up to index 8
+    calls = Counter()
+
+    def spying(name, real):
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    monkeypatch.setattr(ideal, "reduce_by_single", spying("reduce_by_single", reduce_by_single))
+    monkeypatch.setattr(
+        Polynomial, "from_terms", staticmethod(spying("from_terms", Polynomial.from_terms))
+    )
+    for module in (poly, ideal):
+        monkeypatch.setattr(module, "_monomial", spying("_monomial", module._monomial))
+    report = groebner_certificate(8)
+    assert report.all_passed
+    assert not calls
+    for row in report.checks:
+        row.lhs
+    assert calls["from_terms"] and calls["_monomial"] and not calls["reduce_by_single"]
+    rows = [c for c in report.checks if c.identity != PHASE_IV]
+    assert len(rows) == 3 * 7 * 8 // 2 - 7
+    for row in rows:
+        assert (row.passed, row.lhs, row.rhs) == oracle[row.identity, row.indices]
+
+
+def test_packed_vectors_divide_and_step_as_monomials():
+    # the guard-bit test against Monomial.divides and a step v + delta
+    # against _rewrite_monomial, on seeded monomials with w-indices <= 12
+    n = 12
+    rules = ideal._RuleVectors(n)
+    rng = random.Random(32)
+
+    def monomial(top):
+        e = [rng.choice((0, 0, 0, 1, rng.randint(1, top))) for _ in range(n + 4)]
+        return Monomial.build(z=e[0], x=e[1], y=e[2], w=dict(enumerate(e[3:])))
+
+    def vector(mono):
+        v = ideal._vector(mono, None, n)
+        assert ideal._vector_monomial(v, n) == mono
+        return v
+
+    divides = 0
+    for _ in range(2000):
+        a = monomial(127)
+        b = a * monomial(4) if rng.random() < 0.5 else monomial(127)
+        if max(b.z_exp, b.x_exp, b.y_exp, *(e for _, e in b.w)) > 127:
+            continue
+        got = ideal._divides(vector(a), vector(b), rules.guards)
+        assert got is a.divides(b), (a, b)
+        divides += got
+    assert divides > 500
+
+    gids = [F(j) for j in range(n + 1)]
+    gids += [G(k, l) for k in range(n - 1) for l in range(k + 1, n)]
+    for gid in gids:
+        lm, _, tm, _ = ideal._rewrite_rule(gid)
+        lead, delta = rules[gid][:2]
+        assert vector(lm) == lead
+        for _ in range(10):
+            mono = lm * monomial(4)
+            v = vector(mono)
+            assert ideal._divides(lead, v, rules.guards)
+            got = ideal._vector_monomial(v + delta, n)
+            want = _rewrite_monomial(mono, lm, tm)
+            assert (got, got.key, hash(got)) == (want, want.key, hash(want))
+
+
+def test_certificate_division_stops_at_the_step_bound():
+    # the rule table refuses a rule that does not lower phi, so only an
+    # entry built past it can reach the bound: delta 0 rewrites v to itself
+    rules = ideal._RuleVectors(3)
+    lead, _, *rest = rules[F(1)]
+    with _within_a_second(), pytest.raises(ReductionLimitError, match="^no normal form within 2 reduction steps"):
+        ideal._divide({lead: 1}, (lead, 0, *rest), rules)
+
+
+def test_certificate_division_refuses_a_step_past_a_field():
+    rules = ideal._RuleVectors(3)
+    lead, delta, *rest = rules[F(1)]
+    y = 1 << rules.w_bits
+    v = lead + 100 * y  # y^100*x*w1
+    message = "the step by F1 from x*y^100*w1 takes an exponent past 127"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ideal._divide({v: 1}, (lead, delta + 40 * y, *rest), rules)
+
+
+def test_certificate_division_matches_reduce_by_single():
+    # seeded homogeneous dicts, the only kind phases (ii)-(iii) hold,
+    # divided by one generator against reduce_by_single
+    n = 6
+    rules = ideal._RuleVectors(n)
+    rng = random.Random(3211)
+    gids = [F(j) for j in range(n + 1)] + [G(k, l) for k in range(n - 1) for l in range(k + 1, n)]
+
+    def monomial(degree):
+        e = Counter(rng.choices(range(n + 4), k=degree))
+        return Monomial.build(z=e[0], x=e[1], y=e[2], w={i: e[i + 3] for i in range(n + 1)})
+
+    def as_polynomial(terms):
+        return Polynomial.from_terms((c, ideal._vector_monomial(v, n)) for v, c in terms.items())
+
+    divided = 0
+    for _ in range(300):
+        gid = rng.choice(gids)
+        lead = ideal._rewrite_rule(gid)[0]
+        extra = rng.randint(0, 2)
+        p = Polynomial.from_terms(
+            (
+                rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 4))]),
+                lead * monomial(extra) if rng.random() < 0.6 else monomial(lead.degree + extra),
+            )
+            for _ in range(rng.randint(1, 6))
+        )
+        work = {ideal._vector(t.monomial, None, n): t.coefficient for t in p.terms}
+        quotient = ideal._divide(work, rules[gid], rules)
+        assert (as_polynomial(quotient), as_polynomial(work)) == reduce_by_single(p, gid), (p, gid)
+        divided += bool(quotient)
+    assert divided > 150
