@@ -54,20 +54,47 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial, lcm
 
-from .poly import Monomial, _Record, _set, format_term
+from .poly import Monomial, _Record, _join, _set
 
 
 class BRhoElement(_Record):
     """Polynomial in x with exact coefficients and the norm weight rho.
 
-    ``coeffs`` holds (exponent, coefficient) pairs, ascending, no zeros.
+    ``coeffs`` holds (exponent, coefficient) pairs, exponents ascending, no
+    zeros, and rho is positive.  The public constructor takes int exponents,
+    int or Fraction coefficients and rho (``bool`` is refused), raises
+    TypeError for any other type and ValueError for a negative exponent,
+    exponents that do not strictly ascend, a zero coefficient or rho <= 0,
+    and stores Fractions.  ``from_dict``, ``zero``, ``x_power`` and the
+    arithmetic build through the private, unchecked ``_element``.
     """
 
     __slots__ = _fields = ("coeffs", "rho")
 
-    def __init__(self, coeffs: tuple[tuple[int, Fraction], ...], rho: Fraction):
-        _set(self, "coeffs", coeffs)
-        _set(self, "rho", rho)
+    def __init__(self, coeffs: tuple[tuple[int, int | Fraction], ...], rho: int | Fraction):
+        if (
+            not isinstance(coeffs, tuple)
+            or not all(
+                isinstance(pair, tuple) and len(pair) == 2 and type(pair[0]) is int
+                and _is_rational(pair[1])
+                for pair in coeffs
+            )
+            or not _is_rational(rho)
+        ):
+            raise TypeError(
+                "BRhoElement takes a tuple of (int exponent, int or Fraction coefficient) "
+                f"pairs and an int or Fraction rho, got {coeffs!r} and {rho!r}"
+            )
+        if any(e < 0 for e, _ in coeffs):
+            raise ValueError("negative exponent")
+        if any(a >= b for (a, _), (b, _) in zip(coeffs, coeffs[1:])):
+            raise ValueError("exponents must strictly ascend")
+        if not all(c for _, c in coeffs):
+            raise ValueError("zero coefficient")
+        if rho <= 0:
+            raise ValueError("rho must be positive")
+        _set(self, "coeffs", tuple([(e, Fraction(c)) for e, c in coeffs]))
+        _set(self, "rho", Fraction(rho))
 
     @staticmethod
     def from_dict(d: dict[int, int | Fraction], rho: int | Fraction) -> BRhoElement:
@@ -77,7 +104,7 @@ class BRhoElement(_Record):
         pairs = tuple(sorted((e, f) for e, c in d.items() if (f := Fraction(c))))
         if any(e < 0 for e, _ in pairs):
             raise ValueError("negative exponent")
-        return BRhoElement(pairs, rho)
+        return _element(pairs, rho)
 
     @staticmethod
     def zero(rho: int | Fraction) -> BRhoElement:
@@ -102,7 +129,7 @@ class BRhoElement(_Record):
         return BRhoElement.from_dict(d, self.rho)
 
     def __neg__(self) -> BRhoElement:
-        return BRhoElement(tuple((e, -c) for e, c in self.coeffs), self.rho)
+        return _element(tuple((e, -c) for e, c in self.coeffs), self.rho)
 
     def __sub__(self, other: BRhoElement) -> BRhoElement:
         return self + (-other)
@@ -117,12 +144,20 @@ class BRhoElement(_Record):
         return BRhoElement.from_dict(d, self.rho)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " ".join(
-            format_term(c, Monomial.build(x=e), leading=i == 0)
-            for i, (e, c) in enumerate(reversed(self.coeffs))
-        )
+        return _join([(c, Monomial.build(x=e)) for e, c in reversed(self.coeffs)])
+
+
+def _is_rational(v) -> bool:
+    """Whether v is an int (not a bool) or a Fraction."""
+    return type(v) is int or isinstance(v, Fraction)
+
+
+def _element(coeffs: tuple[tuple[int, Fraction], ...], rho: Fraction) -> BRhoElement:
+    """The unchecked constructor, for fields valid by construction."""
+    f = object.__new__(BRhoElement)
+    _set(f, "coeffs", coeffs)
+    _set(f, "rho", rho)
+    return f
 
 
 def brho_norm(f: BRhoElement) -> Fraction:
@@ -131,25 +166,46 @@ def brho_norm(f: BRhoElement) -> Fraction:
 
 
 class BRhoSeries(_Record):
-    """Polynomial in t with BRhoElement coefficients (index = t-power)."""
+    """Polynomial in t with BRhoElement coefficients (index = t-power).
+
+    The public constructor takes a tuple of BRhoElements and an int or
+    Fraction rho, raises TypeError for any other type and ValueError for
+    rho <= 0 or an element whose rho differs, and stores rho as a Fraction.
+    ``from_elements``, ``constant`` and the arithmetic build through the
+    private, unchecked ``_series``."""
 
     __slots__ = _fields = ("coeffs", "rho")
 
-    def __init__(self, coeffs: tuple[BRhoElement, ...], rho: Fraction):
+    def __init__(self, coeffs: tuple[BRhoElement, ...], rho: int | Fraction):
+        if (
+            not isinstance(coeffs, tuple)
+            or not all(isinstance(c, BRhoElement) for c in coeffs)
+            or not _is_rational(rho)
+        ):
+            raise TypeError(
+                "BRhoSeries takes a tuple of BRhoElements and an int or Fraction rho, "
+                f"got {coeffs!r} and {rho!r}"
+            )
+        if rho <= 0:
+            raise ValueError("rho must be positive")
+        if any(c.rho != rho for c in coeffs):
+            raise ValueError("mixed rho values")
         _set(self, "coeffs", coeffs)
-        _set(self, "rho", rho)
+        _set(self, "rho", Fraction(rho))
 
     @staticmethod
     def from_elements(elements: Sequence[BRhoElement], rho: int | Fraction) -> BRhoSeries:
         rho = Fraction(rho)
+        if rho <= 0:
+            raise ValueError("rho must be positive")
         for e in elements:
             if e.rho != rho:
                 raise ValueError("mixed rho values")
-        return BRhoSeries(tuple(elements), rho)
+        return _series(tuple(elements), rho)
 
     @staticmethod
     def constant(element: BRhoElement) -> BRhoSeries:
-        return BRhoSeries((element,), element.rho)
+        return _series((element,), element.rho)
 
     def __add__(self, other: BRhoSeries) -> BRhoSeries:
         if self.rho != other.rho:
@@ -161,10 +217,10 @@ class BRhoSeries(_Record):
             a = self.coeffs[i] if i < len(self.coeffs) else zero
             b = other.coeffs[i] if i < len(other.coeffs) else zero
             out.append(a + b)
-        return BRhoSeries(tuple(out), self.rho)
+        return _series(tuple(out), self.rho)
 
     def __neg__(self) -> BRhoSeries:
-        return BRhoSeries(tuple(-c for c in self.coeffs), self.rho)
+        return _series(tuple(-c for c in self.coeffs), self.rho)
 
     def __sub__(self, other: BRhoSeries) -> BRhoSeries:
         return self + (-other)
@@ -179,7 +235,15 @@ class BRhoSeries(_Record):
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return BRhoSeries(tuple(out), self.rho)
+        return _series(tuple(out), self.rho)
+
+
+def _series(coeffs: tuple[BRhoElement, ...], rho: Fraction) -> BRhoSeries:
+    """The unchecked constructor, for elements that all have rho."""
+    s = object.__new__(BRhoSeries)
+    _set(s, "coeffs", coeffs)
+    _set(s, "rho", rho)
+    return s
 
 
 def sqrt_coeffs(count: int) -> list[Fraction]:

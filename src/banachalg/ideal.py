@@ -178,7 +178,7 @@ track, and lowers m.  So the S-polynomial reduces to 0 when the rewrite
 chains of m1 and m2 end in the same monomial (Buchberger's criterion); the
 certificate follows both chains step by step.
 
-The certificate builds no Monomial and no Polynomial until a row is read.
+The certificate builds no Polynomial, and no Monomial until a row is read.
 Each call packs the monomials of the rules it uses into integers, one
 8-bit field per exponent: w_i's at bit 8*i, then y, x and z above w_N,
 N = ``max_index``.  An exponent uses the low 7 bits of its field; the top
@@ -213,11 +213,14 @@ The rule table refuses what a chain could not follow, each with a
 ValueError naming the generator: a w-index above N, an exponent past 127,
 and a rule whose tail does not lower phi below its lead's.  Every valid
 rule lowers phi (above), and a chain along one that does not might never
-end.  The rows keep what their text is made from, and format ``lhs`` and
-``rhs`` when they are first read, through ``_vector_monomial``: a
-phase-(iv) row keeps the two rule entries it was checked with, not its
-vectors, so plain text output, which prints only failing rows, formats no
-passing row.
+end.  A row keeps what its text is made from in its one text slot, as a
+render tuple, and the first read of ``lhs`` or ``rhs`` puts the
+formatted pair there in its place: a phase-(iv) row keeps the two rule
+entries it was checked with, not its vectors, so plain text output,
+which prints only failing rows, formats no passing row.  All four
+phases print through one formatter, ``_text``, which turns
+{vector: coefficient} terms into ``to_str``'s text by ``_vector_monomial``
+and ``to_str``'s own join, without building a Polynomial.
 
 S-polynomials use the fraction-free convention
 
@@ -244,12 +247,11 @@ from .poly import (
     _INTEGER,
     _KEY,
     _Record,
+    _join,
     _monomial,
     _polynomial,
     _set,
     _term,
-    format_term,
-    to_str,
 )
 
 _TERM_KEY = attrgetter("monomial.key")  # the monomial order on terms, as a sort key
@@ -656,40 +658,41 @@ def reduce_by_single(p: Polynomial, gid: GeneratorId) -> tuple[Polynomial, Polyn
 class IdentityCheck(_Record):
     """One identity of the certificate and whether it holds.
 
-    The public constructor takes ``lhs`` and ``rhs`` as text.  The
-    certificate builds its rows with ``_check``, which keeps what the text
-    is made from and formats ``lhs`` and ``rhs`` on their first read, so a
-    row that is never printed formats nothing.  ``==``, the hash, ``repr``
-    and pickling read the text, and so agree with a row built from it."""
+    The public constructor takes ``lhs`` and ``rhs`` as text, and raises
+    TypeError unless both are ``str``.  The one slot ``_texts`` holds either
+    that pair or, for a row that ``_check`` built, the render tuple
+    (function, *args): the first read of ``lhs`` or ``rhs`` replaces the
+    tuple with the pair function(*args) returns, so a row that is never
+    printed formats nothing.  ``==``, the hash, ``repr`` and pickling read
+    the text, and so agree with a row built from it."""
 
     _fields = ("identity", "indices", "passed", "lhs", "rhs")
-    __slots__ = ("identity", "indices", "passed", "_lhs", "_rhs", "_render")
+    __slots__ = ("identity", "indices", "passed", "_texts")
 
     def __init__(self, identity: str, indices: tuple[int, ...], passed: bool, lhs: str, rhs: str):
-        _fill_check(self, identity, indices, passed, None)
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
+        # the slot tells text from a render tuple by the type of its first item
+        if type(lhs) is not str or type(rhs) is not str:
+            raise TypeError(f"IdentityCheck takes lhs and rhs as str, got {lhs!r} and {rhs!r}")
+        _set_identity(self, identity)
+        _set_indices(self, indices)
+        _set_passed(self, passed)
+        _set_texts(self, (lhs, rhs))
 
     @property
     def lhs(self) -> str:
-        if self._render is not None:
-            self._format()
-        return self._lhs
+        return self._read(0)
 
     @property
     def rhs(self) -> str:
-        if self._render is not None:
-            self._format()
-        return self._rhs
+        return self._read(1)
 
-    def _format(self) -> None:
-        """Format lhs and rhs by the row's render tuple (function, *args),
-        then drop the tuple."""
-        render, *args = self._render
-        lhs, rhs = render(*args)
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
-        _set_render(self, None)
+    def _read(self, side: int) -> str:
+        texts = self._texts
+        if texts[0].__class__ is not str:
+            render, *args = texts
+            texts = render(*args)
+            _set_texts(self, texts)
+        return texts[side]
 
     def to_json(self) -> dict:
         return {
@@ -701,25 +704,20 @@ class IdentityCheck(_Record):
         }
 
 
-_set_identity, _set_indices, _set_passed, _set_lhs, _set_rhs, _set_render = (
+_set_identity, _set_indices, _set_passed, _set_texts = (
     IdentityCheck.__dict__[name].__set__ for name in IdentityCheck.__slots__
 )
-
-
-def _fill_check(
-    row: IdentityCheck, identity: str, indices: tuple[int, ...], passed: bool, render: tuple | None
-) -> IdentityCheck:
-    _set_identity(row, identity)
-    _set_indices(row, indices)
-    _set_passed(row, passed)
-    _set_render(row, render)
-    return row
 
 
 def _check(identity: str, indices: tuple[int, ...], passed: bool, render: tuple) -> IdentityCheck:
     """The certificate's row builder: ``render`` is (function, *args), and
     function(*args) returns (lhs, rhs) when the row is first read."""
-    return _fill_check(object.__new__(IdentityCheck), identity, indices, passed, render)
+    row = object.__new__(IdentityCheck)
+    _set_identity(row, identity)
+    _set_indices(row, indices)
+    _set_passed(row, passed)
+    _set_texts(row, render)
+    return row
 
 
 class CertificateReport(_Record):
@@ -1087,9 +1085,12 @@ class _ChainEnds(dict):
 
 
 def _text(terms: dict, max_index: int) -> str:
-    """``to_str`` of the {vector: coefficient} ``terms``."""
-    pairs = [(c, _vector_monomial(v, max_index)) for v, c in terms.items()]
-    return to_str(Polynomial.from_terms(pairs))
+    """``to_str`` of the {vector: coefficient} ``terms``, without building a
+    Polynomial: the nonzero terms in the monomial order, through ``to_str``'s
+    join."""
+    pairs = [(c, _vector_monomial(v, max_index)) for v, c in terms.items() if c]
+    pairs.sort(key=lambda pair: pair[1].key, reverse=True)
+    return _join(pairs)
 
 
 def _texts(lhs: dict, rhs: dict, max_index: int) -> tuple[str, str]:
@@ -1106,19 +1107,5 @@ def _division_texts(quotient: dict, remainder: dict, expected_q: dict, max_index
 def _s_pair_texts(p: tuple, q: tuple, rules: _RuleVectors) -> tuple[str, str]:
     """A phase-(iv) row's text, from the ``_RuleVectors`` entries the row
     was checked with: its S-polynomial, and 0."""
-    c1, m1, c2, m2 = _s_pair(p, q, rules.guards)
-    n = rules.max_index
-    lhs = _binomial_str(c1, _vector_monomial(m1, n), c2, _vector_monomial(m2, n))
+    lhs = _text(_s_terms(p, q, rules.guards), rules.max_index)
     return f"S({p[7]},{q[7]}) = {lhs}", "0"
-
-
-def _binomial_str(c1: int, m1: Monomial, c2: int, m2: Monomial) -> str:
-    """``to_str`` of c1*m1 + c2*m2 for nonzero c1, c2, without building the
-    Polynomial."""
-    if m1 == m2:
-        c = c1 + c2
-        return format_term(c, m1) if c else "0"
-    if m1.key < m2.key:
-        c1, m1, c2, m2 = c2, m2, c1, m1
-    return f"{format_term(c1, m1)} {format_term(c2, m2, leading=False)}"
-

@@ -477,12 +477,16 @@ def to_str(p: Polynomial) -> str:
     scalar of ``nf(y*w0*w20000)`` does; the command line lifts that limit
     while it runs.
     """
-    if p.is_zero():
-        return "0"
-    out = [format_term(p.terms[0].coefficient, p.terms[0].monomial, leading=True)]
-    for t in p.terms[1:]:
-        out.append(format_term(t.coefficient, t.monomial, leading=False))
-    return " ".join(out)
+    return _join([(t.coefficient, t.monomial) for t in p.terms])
+
+
+def _join(pairs: list) -> str:
+    """The text of (coefficient, monomial) pairs with nonzero coefficients
+    and strictly decreasing monomials, as ``to_str`` prints their
+    Polynomial; "0" for none.  ``ideal`` prints certificate rows through it
+    without building a Polynomial."""
+    texts = [format_term(c, m, leading=not i) for i, (c, m) in enumerate(pairs)]
+    return " ".join(texts) if texts else "0"
 
 
 class ParseError(ValueError):

@@ -302,25 +302,21 @@ def test_groebner_verify_formats_only_the_rows_it_prints(capsys, monkeypatch, ve
     # row, so it formats none; --verbose prints, and so formats, every row
     import banachalg.ideal as ideal
 
-    calls = {"to_str": 0, "_binomial_str": 0}
+    calls = 0
     reports = []
     certificate = ideal.groebner_certificate
+    text = ideal._text
 
-    def spying(name):
-        real = getattr(ideal, name)
-
-        def spy(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return spy
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return text(*args)
 
     def keeping(max_index):
         reports.append(certificate(max_index))
         return reports[-1]
 
-    for name in calls:
-        monkeypatch.setattr(ideal, name, spying(name))
+    monkeypatch.setattr(ideal, "_text", spy)
     monkeypatch.setattr(ideal, "groebner_certificate", keeping)
     code, out, _ = run(capsys, "groebner-verify", "--max-index", "8", *(["--verbose"] if verbose else []))
     assert code == 0
@@ -328,15 +324,19 @@ def test_groebner_verify_formats_only_the_rows_it_prints(capsys, monkeypatch, ve
     assert out.endswith(f"{len(report.checks)}/{len(report.checks)} identities hold\n")
     phases = Counter(c.identity for c in report.checks)
     phase_iv = phases.pop("nf(S(p,q)) = 0")
-    # two texts per row of phases (i) and (iii), three in phase (ii)
+    # two texts per row of phases (i) and (iii), three in phase (ii), one
+    # in phase (iv)
     division = phases.pop("S(G_{k,l},F_{l+1}) = (l+1)*y*w_l * F_{k+1}")
-    expected_to_str = 2 * sum(phases.values()) + 3 * division
+    expected = 2 * sum(phases.values()) + 3 * division + phase_iv
+    # a formatted row holds its (lhs, rhs) text, an unformatted one its
+    # render tuple
+    formatted = [type(c._texts[0]) is str for c in report.checks]
     if verbose:
-        assert calls == {"to_str": expected_to_str, "_binomial_str": phase_iv}
-        assert all(c._render is None for c in report.checks)
+        assert calls == expected
+        assert all(formatted)
     else:
-        assert calls == {"to_str": 0, "_binomial_str": 0}
-        assert all(c._render is not None for c in report.checks)
+        assert calls == 0
+        assert not any(formatted)
 
 
 def test_remark(capsys):

@@ -92,6 +92,145 @@ def test_mixed_rho_rejected():
         el({0: 1}, rho=2) + el({0: 1}, rho=3)
 
 
+def test_from_dict_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match="^negative exponent$"):
+        el({-1: 1})
+
+
+def test_element_subtraction():
+    assert el({2: 1, 0: 3}) - el({1: Fraction(1, 2), 0: 3}) == el({2: 1, 1: Fraction(-1, 2)})
+    assert (el({1: 5}) - el({1: 5})).is_zero()
+
+
+# each rho check of a series operation, on a case that no element operation
+# below it would catch: empty series, or a left factor whose only element is 0
+
+
+def test_series_from_elements_rejects_mixed_rho():
+    with pytest.raises(ValueError, match="^mixed rho values$"):
+        BRhoSeries.from_elements([el({1: 1}, rho=2)], 3)
+
+
+@pytest.mark.parametrize("rho", [0, -1])
+def test_series_from_elements_rejects_a_rho_not_positive(rho):
+    # with no element to carry it, rho is checked on its own
+    with pytest.raises(ValueError, match="^rho must be positive$"):
+        BRhoSeries.from_elements([], rho)
+
+
+def test_series_sum_rejects_mixed_rho():
+    with pytest.raises(ValueError, match="^mixed rho values$"):
+        BRhoSeries.from_elements([], 2) + BRhoSeries.from_elements([], 3)
+
+
+def test_series_product_rejects_mixed_rho():
+    a = BRhoSeries.constant(BRhoElement.zero(2))
+    b = BRhoSeries.constant(BRhoElement.zero(3))
+    with pytest.raises(ValueError, match="^mixed rho values$"):
+        a * b
+
+
+# --- public constructors ----------------------------------------------------
+
+
+def test_element_constructor_stores_fractions():
+    f = BRhoElement(((1, 1), (4, Fraction(-2, 3))), 2)
+    assert f == el({1: 1, 4: Fraction(-2, 3)})
+    assert f.coeffs == ((1, Fraction(1)), (4, Fraction(-2, 3)))
+    assert type(f.coeffs[0][1]) is Fraction and type(f.rho) is Fraction
+    assert BRhoElement((), Fraction(1, 2)) == BRhoElement.zero(Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "coeffs, rho",
+    [
+        ("junk", None),
+        ([(1, 1)], 2),
+        (((1,),), 2),
+        (((1, 1, 1),), 2),
+        ((1,), 2),
+        (((1.0, 1),), 2),
+        (((True, 1),), 2),
+        (((1, 1.5),), 2),
+        (((1, "1"),), 2),
+        (((1, 1),), 2.0),
+        (((1, 1),), True),
+        (((1, 1),), None),
+    ],
+    ids=repr,
+)
+def test_element_constructor_rejects_wrong_types(coeffs, rho):
+    with pytest.raises(TypeError, match="^BRhoElement takes a tuple of"):
+        BRhoElement(coeffs, rho)
+
+
+@pytest.mark.parametrize(
+    "coeffs, rho, message",
+    [
+        (((-1, 1),), 2, "negative exponent"),
+        (((2, 1), (1, 1)), 2, "exponents must strictly ascend"),
+        (((1, 1), (1, 2)), 2, "exponents must strictly ascend"),
+        (((0, Fraction(0)),), Fraction(2), "zero coefficient"),
+        (((0, 1), (3, 0)), 2, "zero coefficient"),
+        (((0, 1),), 0, "rho must be positive"),
+        (((0, 1),), Fraction(-1, 2), "rho must be positive"),
+    ],
+    ids=repr,
+)
+def test_element_constructor_rejects_invalid_values(coeffs, rho, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BRhoElement(coeffs, rho)
+
+
+def test_element_constructor_cases_that_used_to_pass():
+    # a stored zero made a zero element that was not is_zero(), and
+    # descending exponents printed out of order and compared unequal
+    with pytest.raises(ValueError):
+        BRhoElement(((0, Fraction(0)),), Fraction(2))
+    with pytest.raises(ValueError):
+        BRhoElement(((2, 1), (1, 1)), 2)
+    with pytest.raises(TypeError):
+        BRhoElement("junk", None)
+
+
+def test_series_constructor_stores_a_fraction_rho():
+    s = BRhoSeries((el({1: 1}),), 2)
+    assert s == BRhoSeries.from_elements([el({1: 1})], 2)
+    assert type(s.rho) is Fraction
+    assert BRhoSeries((), 3) == BRhoSeries.from_elements([], 3)
+
+
+@pytest.mark.parametrize(
+    "coeffs, rho",
+    [
+        ([el({1: 1})], 2),
+        ((el({1: 1}), {1: 1}), 2),
+        (("junk",), 2),
+        ((el({1: 1}),), 2.0),
+        ((el({1: 1}),), None),
+    ],
+    ids=repr,
+)
+def test_series_constructor_rejects_wrong_types(coeffs, rho):
+    with pytest.raises(TypeError, match="^BRhoSeries takes a tuple of"):
+        BRhoSeries(coeffs, rho)
+
+
+@pytest.mark.parametrize(
+    "coeffs, rho, message",
+    [
+        ((), 0, "rho must be positive"),
+        ((), -2, "rho must be positive"),
+        ((el({1: 1}, rho=3),), 2, "mixed rho values"),
+        ((el({1: 1}), el({0: 1}, rho=3)), 2, "mixed rho values"),
+    ],
+    ids=repr,
+)
+def test_series_constructor_rejects_invalid_values(coeffs, rho, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BRhoSeries(coeffs, rho)
+
+
 def test_element_printing():
     # the polynomial grammar of poly.to_str, in the one variable x
     assert str(el({3: 2, 1: Fraction(1, 2), 0: -1})) == "2*x^3 + (1/2)*x - 1"
@@ -134,6 +273,16 @@ def test_sqrt_truncation_residual_exact_values():
 
 
 # --- family 1 ---------------------------------------------------------------
+
+
+def test_sqrt_coeffs_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        sqrt_coeffs(-1)
+
+
+def test_family1_solutions_reject_a_negative_c():
+    with pytest.raises(ValueError, match="^c must be nonnegative$"):
+        example1_solutions(-1)
 
 
 def test_family1_solutions_shapes():

@@ -1042,20 +1042,22 @@ def test_phase_iv_prints_integer_products(monkeypatch):
     # the S-pair coefficients are products of the rules' integers, formed
     # and printed without a Fraction
     seen = []
-    binomial_str = ideal._binomial_str
+    text = ideal._text
 
-    def spy(c1, m1, c2, m2):
-        seen.append((type(c1), type(c2)))
-        return binomial_str(c1, m1, c2, m2)
+    def spy(terms, max_index):
+        seen.append({type(c) for c in terms.values()})
+        return text(terms, max_index)
 
-    monkeypatch.setattr("banachalg.ideal._binomial_str", spy)
+    monkeypatch.setattr("banachalg.ideal._text", spy)
     report = groebner_certificate(6)
     assert report.all_passed
-    # rows format their text when read, so read every one before counting
-    for row in report.checks:
+    # rows format their text when read, so read every phase-(iv) row, and
+    # only those, before counting: each formats one text
+    rows = _phase_iv_rows(report)
+    for row in rows:
         row.lhs
-    assert len(seen) == len(_phase_iv_rows(report)) > 0
-    assert set(seen) == {(int, int)}
+    assert len(seen) == len(rows) > 0
+    assert set().union(*seen) == {int}
 
 
 @pytest.mark.parametrize(
@@ -1172,7 +1174,8 @@ def test_certificate_builds_no_polynomial_until_a_row_is_read(monkeypatch):
     assert not calls
     for row in report.checks:
         row.lhs
-    assert calls["from_terms"] and calls["_monomial"] and not calls["reduce_by_single"]
+    # a read row builds the Monomials of its text, and still no Polynomial
+    assert calls["_monomial"] and not calls["from_terms"] and not calls["reduce_by_single"]
     rows = [c for c in report.checks if c.identity != PHASE_IV]
     assert len(rows) == 3 * 7 * 8 // 2 - 7
     for row in rows:
@@ -1272,3 +1275,86 @@ def test_certificate_division_matches_reduce_by_single():
         assert (as_polynomial(quotient), as_polynomial(work)) == reduce_by_single(p, gid), (p, gid)
         divided += bool(quotient)
     assert divided > 150
+
+
+def test_certificate_text_matches_to_str_in_any_order():
+    # seeded {vector: coefficient} dicts of mixed degrees, ints and
+    # Fractions: the integer order of vectors is the monomial order only at
+    # one degree, so the formatter must sort by the monomial order itself
+    n = 6
+    rng = random.Random(3301)
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            e = [rng.choice((0, 0, 1, 2)) for _ in range(n + 4)]
+            m = Monomial.build(z=e[0], x=e[1], y=e[2], w=dict(enumerate(e[3:])))
+            c = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+            terms[ideal._vector(m, None, n)] = c
+        pairs = [(c, ideal._vector_monomial(v, n)) for v, c in terms.items()]
+        assert ideal._text(terms, n) == to_str(Polynomial.from_terms(pairs)), terms
+
+
+def test_certificate_refuses_a_rule_exponent_past_a_field(monkeypatch):
+    # a packed field holds exponents up to 127; a rule with 128 must be
+    # refused, not packed into the guard bit
+    rule = ideal._rewrite_rule
+
+    def wrapped(gid):
+        lm, lc, tm, tc = rule(gid)
+        if gid == F(2):
+            lm = Monomial.build(x=128, w=dict(lm.w))
+        return lm, lc, tm, tc
+
+    monkeypatch.setattr("banachalg.ideal._rewrite_rule", wrapped)
+    with pytest.raises(ValueError, match="^the rule of F2 has the exponent 128, above 127$"):
+        groebner_certificate(3)
+
+
+def test_certificate_refuses_an_s_pair_past_a_field(monkeypatch):
+    # two rules that lower phi (which ignores y), each with exponents of at
+    # most 127, whose S-pair still reaches y^128: F1 = x*w1 -> y^127 and
+    # F2 = x*y*w2 -> y^2*w1 give lcm x*y*w1*w2 and m1 = y^128*w2
+    rule = ideal._rewrite_rule
+    patched = {
+        F(1): (Monomial.build(x=1, w={1: 1}), -1, Monomial.build(y=127), 1),
+        F(2): (Monomial.build(x=1, y=1, w={2: 1}), -2, Monomial.build(y=2, w={1: 1}), 1),
+    }
+    monkeypatch.setattr("banachalg.ideal._rewrite_rule", lambda gid: patched.get(gid) or rule(gid))
+    with pytest.raises(ValueError, match="^the S-polynomial of F1 and F2 has an exponent past 127$"):
+        groebner_certificate(2)
+
+
+def test_generator_id_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown generator kind 'H'$"):
+        GeneratorId("H", 1)
+
+
+def test_normal_form_refuses_an_unknown_strategy():
+    with pytest.raises(ValueError, match="^unknown strategy 'smallest'$"):
+        normal_form(parse("x*w1"), strategy="smallest")
+
+
+def test_certificate_row_read_rhs_first_formats_once(monkeypatch):
+    # a row formats both texts on its first read, whichever side it is,
+    # and a later read of the other side formats nothing more
+    calls = 0
+    text = ideal._text
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return text(*args)
+
+    reference = groebner_certificate(5).checks
+    monkeypatch.setattr(ideal, "_text", spy)
+    rows = groebner_certificate(5).checks
+    assert len(rows) == len(reference)
+    for row, want in zip(rows, reference):
+        before = calls
+        rhs = row.rhs
+        formatted = calls
+        lhs = row.lhs
+        assert calls == formatted > before
+        assert type(row._texts[0]) is str
+        assert (lhs, rhs) == (want.lhs, want.rhs)
+        assert row == want

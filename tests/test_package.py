@@ -354,3 +354,11 @@ def test_record_constructors_check_their_fields():
     object.__setattr__(bad, "poly", parse("z^2"))
     with pytest.raises(ValueError, match="normal form"):
         pickle.loads(pickle.dumps(bad))
+
+
+@pytest.mark.parametrize("lhs, rhs", [(None, "0"), ("0", 0), ((len, "x"), "0")], ids=repr)
+def test_identity_check_takes_text(lhs, rhs):
+    # a row's text slot tells text from a render tuple by the type of its
+    # first item, so the public constructor takes only str
+    with pytest.raises(TypeError, match="^IdentityCheck takes lhs and rhs as str"):
+        IdentityCheck("S", (1, 2), True, lhs, rhs)
